@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import f as f_dist
+from scipy.special import fdtrc
 
 from .errors import FitError
 from .instrument import IrfKernel, SampledSignal, _aligned_offset
@@ -44,6 +44,13 @@ __all__ = [
 _XTOL = 1e-8
 _GTOL = 1e-10
 _MAX_NFEV = 500
+# The second pair seed stays this many fitted FWHMs of the first line away
+# from that line's center.  Chosen on IRF-blurred, Poisson-noised MP and PC
+# sweeps (1e3-1e5 peak counts, radii 0-3): below 1 the far-detuned PC seeds
+# both land on the emitter line and fits fail; 2 gave the fewest pair-fit
+# evaluations at 1e4 counts; at 3 the cavity line of a PC doublet near
+# delta = +-100 ueV falls inside the excluded band.
+_SEED_EXCLUSION_FWHMS = 2.0
 
 
 @dataclass
@@ -312,7 +319,11 @@ def seed_lorentzian_pair(spec: SampledSignal,
     """Initial pair guess by fitting one Lorentzian and peeling it off.
 
     The dominant peak is fit first; the second seed comes from the largest
-    positive residual.  If nothing significant remains the single peak is
+    positive residual at least two fitted FWHMs away from the first line's
+    center.  The residual closer in is mostly the first line's own misfit
+    (its IRF-blurred flanks, its noise), not a second line; seeding there
+    puts both seeds on one line and the pair fit wanders.  If nothing
+    above 0.5% of the data maximum remains outside, the single peak is
     split into two overlapping seeds.
     """
     x, y = spec.grid, spec.values
@@ -326,6 +337,7 @@ def seed_lorentzian_pair(spec: SampledSignal,
     resid = y - lorentzian(x, *f1.x)
     resid_s = np.convolve(np.clip(resid, 0.0, None),
                           np.ones(2 * smooth + 1) / (2 * smooth + 1), "same")
+    resid_s[np.abs(x - f1.x[0]) < _SEED_EXCLUSION_FWHMS * abs(f1.x[1])] = 0.0
     c2, w2, h2 = _single_peak_guess(x, resid_s)
     if h2 < 0.005 * y.max():
         c0, w0, h0 = f1.x
@@ -484,12 +496,13 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
 
     Residuals carry Poisson weights 1/sqrt(max(counts, 1)).  ``mode`` is
     ``"single"``, ``"bi"``, or ``"multi"``; the multi mode selects 1-3
-    components by a residual F-test at 5% significance.  Rates come back
-    sorted descending.  A collapsed model -- a pair of rates within 1% of
-    each other, or a component whose amplitude the fit drives onto its
-    zero bound -- carries one component too many: it is refit with one
-    component fewer, repeatedly while the collapse persists, and flagged
-    ``rate-collapse``.
+    components by a residual F-test at 5% significance; a higher-order
+    trial that stops at the evaluation limit does not enter the test, and
+    the lower order stands.  Rates come back sorted descending.  A
+    collapsed model -- a pair of rates within 1% of each other, or a
+    component whose amplitude the fit drives onto its zero bound --
+    carries one component too many: it is refit with one component fewer,
+    repeatedly while the collapse persists, and flagged ``rate-collapse``.
     """
     if mode not in ("single", "bi", "multi"):
         raise ValueError("mode must be 'single', 'bi', or 'multi'")
@@ -514,10 +527,10 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
             except FitError:
                 break
             dof = m - (2 * cand + 1)
-            if dof <= 0 or trial.cost >= res.cost:
+            if trial.status <= 0 or dof <= 0 or trial.cost >= res.cost:
                 break
             fstat = ((res.cost - trial.cost) / 2.0) / (trial.cost / dof)
-            if f_dist.sf(fstat, 2, dof) >= 0.05:
+            if fdtrc(2, dof, fstat) >= 0.05:
                 break
             res, n_comp = trial, cand
 

@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import GridError, PeakError
+from .instrument import _read_columns
 from .model import SystemParams, Trajectory, propagate
 from .units import HBAR_UEV_NS
 
@@ -294,10 +294,10 @@ def rabi_splitting(spec: Spectrum, prominence: float = 0.05) -> float:
     """
     y = spec.intensity
     depth = prominence * float(y.max())
-    # find_peaks gives every maximum that ties the global one full
-    # prominence, so neighbours are also told apart by the dip between them
+    # equal heights do not end the search for a base, so tied maxima both
+    # clear the base rule; neighbours are also told apart by their dip
     idx = []
-    for i in find_peaks(y, prominence=depth)[0]:
+    for i in _prominent_maxima(y, depth):
         if idx and min(y[i], y[idx[-1]]) - y[idx[-1]:i + 1].min() < depth:
             if y[i] > y[idx[-1]]:
                 idx[-1] = i
@@ -318,6 +318,30 @@ def rabi_splitting(spec: Spectrum, prominence: float = 0.05) -> float:
     return float(abs(positions[1] - positions[0]))
 
 
+def _prominent_maxima(y: np.ndarray, depth: float) -> list:
+    """Local maxima of ``y`` standing at least ``depth`` above their bases.
+
+    A local maximum is a sample, or the middle sample of a flat run, with a
+    lower neighbour on each side; the grid edges are never maxima.  Its
+    base on each side is the minimum of y between it and the nearest
+    strictly higher sample, or the grid edge; it counts when it stands
+    ``depth`` above the higher of its two bases.
+    """
+    d = np.diff(y)
+    steps = np.flatnonzero(d)
+    rise = d[steps] > 0
+    top = np.flatnonzero(rise[:-1] & ~rise[1:])
+    keep = []
+    for i in (steps[top] + 1 + steps[top + 1]) // 2:
+        higher = np.flatnonzero(y[:i] > y[i])
+        left = y[higher[-1] + 1 if higher.size else 0:i + 1].min()
+        higher = np.flatnonzero(y[i + 1:] > y[i])
+        right = y[i:i + 1 + higher[0] if higher.size else y.size].min()
+        if y[i] - max(left, right) >= depth:
+            keep.append(int(i))
+    return keep
+
+
 def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
     """Write a spectrum to two-column text with '#' header lines."""
     lines = ["# cqed-lab spectrum v1", f"# frame = {spec.frame}"]
@@ -334,27 +358,8 @@ def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
 
 def read_spectrum(path) -> tuple[Spectrum, dict]:
     """Read a spectrum file; returns the spectrum and its header metadata."""
-    meta: dict[str, str] = {}
-    xs, ys = [], []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GridError(f"{path}: malformed data line {line!r}")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-    if len(xs) < 2:
-        raise GridError(f"{path}: fewer than two samples")
+    xs, ys, meta = _read_columns(path)
     frame = meta.get("frame", "offset")
     omega_qd = float(meta["omega_qd_ueV"]) if "omega_qd_ueV" in meta else None
-    spec = Spectrum(np.array(xs), np.array(ys), frame=frame, omega_qd=omega_qd)
+    spec = Spectrum(xs, ys, frame=frame, omega_qd=omega_qd)
     return spec, meta

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import cqed_lab.inference
 from cqed_lab import (DecayModelParams, FitError, IrfKernel,
                       LorentzianPairParams, SampledSignal, SweepRecord,
                       SystemParams, classify_coupling,
-                      compare_coupling_estimates, decay_model,
+                      compare_coupling_estimates, convolve, decay_model,
                       emission_spectrum, extract_sweep_record, fit_decay,
                       fit_jc_cavity_spectrum, fit_lorentzian_pair, gaussian_irf,
-                      lorentzian, rabi_splitting, seed_lorentzian_pair)
+                      irf_fwhm_from_q, lorentzian, rabi_splitting,
+                      seed_lorentzian_pair)
 
 PC_FIXED = {"kappa": 195.0, "gamma": 0.2, "gamma_dp": 4.0, "delta": 0.0}
 
@@ -140,6 +142,57 @@ class TestFitLorentzianPair:
         assert got[1] == pytest.approx(0.0, abs=0.5)
 
 
+def measured_spectrum(params, x, rng, peak=1e4):
+    """Cavity spectrum through a Q=40,000 spectrometer at 930 nm, in counts."""
+    irf_fwhm = irf_fwhm_from_q(930.0, 40000.0)
+    step = x[1] - x[0]
+    half = int(math.ceil(4.0 * irf_fwhm / step))
+    irf = gaussian_irf(irf_fwhm, np.arange(-half, half + 1) * step)
+    clean = SampledSignal(x, emission_spectrum(params, grid=x).intensity)
+    blurred = convolve(clean, irf).values
+    counts = rng.poisson(np.clip(blurred * peak / blurred.max(), 0.0, None))
+    return SampledSignal(x, counts.astype(float))
+
+
+class TestSeedOnMeasuredSweeps:
+    """Pair seeds on IRF-blurred, Poisson-noised paper-system spectra."""
+
+    x = np.linspace(-1500.0, 1500.0, 1501)
+
+    def sweep_records(self, params, deltas, seed):
+        rng = np.random.default_rng(seed)
+        records = []
+        for d in deltas:
+            sig = measured_spectrum(params.with_(delta=d), self.x, rng)
+            fit = fit_lorentzian_pair(sig, seed_lorentzian_pair(sig))
+            records.append(extract_sweep_record(fit, 930.0, detuning=d))
+        return records
+
+    @pytest.mark.parametrize("delta", [-600.0, -500.0, -350.0,
+                                       350.0, 500.0, 600.0])
+    def test_far_detuned_pc_seeds_both_lines(self, pc_cavity, delta):
+        rng = np.random.default_rng(2024)
+        sig = measured_spectrum(pc_cavity.with_(delta=delta), self.x, rng)
+        init = seed_lorentzian_pair(sig)
+        assert abs(init.centers[1] - init.centers[0]) > init.fwhms[0]
+        fit = fit_lorentzian_pair(sig, init)
+        assert fit.converged
+        centers = sorted([fit.estimates["center_1"],
+                          fit.estimates["center_2"]], key=lambda c: abs(c))
+        assert centers[0] == pytest.approx(0.0, abs=0.1 * abs(delta))
+        assert centers[1] == pytest.approx(-delta, abs=0.1 * abs(delta))
+
+    def test_pc_sweep_anticrosses(self, pc_cavity):
+        records = self.sweep_records(
+            pc_cavity, [-600.0, -500.0, -350.0, 0.0, 350.0, 500.0, 600.0], 7)
+        assert classify_coupling(records).label == "anti_crossing"
+
+    def test_mp_sweep_crosses(self, micropillar):
+        records = self.sweep_records(
+            micropillar, [-300.0, -150.0, -50.0, 0.0, 50.0, 150.0, 300.0], 7)
+        assert classify_coupling(records).label == "crossing"
+
+
 class TestExtractSweepRecord:
     def fit_of(self, truth):
         x = np.linspace(-400.0, 400.0, 1601)
@@ -220,6 +273,26 @@ class TestFitDecay:
         fit2 = fit_decay(two, irf=irf2, mode="multi")
         assert "rate_2" in fit2.estimates
         assert fit2.estimates["rate_1"] == pytest.approx(10.0, rel=0.05)
+
+    def test_unconverged_trial_never_selected(self, monkeypatch):
+        # marked as stopped at the evaluation limit, a trial that wins the
+        # F-test when it converges must not enter the test
+        rng = np.random.default_rng(17)
+        two, irf, _ = make_decay([10.0, 0.5], [5.0, 2.0], t_max=25.0,
+                                 dt=0.01, rng=rng)
+        assert "rate_2" in fit_decay(two, irf=irf, mode="multi").estimates
+        order_fit = cqed_lab.inference._fit_decay_order
+
+        def capped(curve, irf, n_comp, seeds=None):
+            res = order_fit(curve, irf, n_comp, seeds)
+            if n_comp > 1:
+                res.status = 0
+            return res
+
+        monkeypatch.setattr(cqed_lab.inference, "_fit_decay_order", capped)
+        fit = fit_decay(two, irf=irf, mode="multi")
+        assert fit.converged
+        assert "rate_2" not in fit.estimates
 
     def test_poisson_weighting_present(self):
         # biased weights would shift the baseline estimate visibly

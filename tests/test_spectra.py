@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       correlation_kernel, default_grid, emission_spectrum,
                       lorentzian, propagate, rabi_splitting, read_spectrum,
                       resolvent_transform, write_spectrum)
+from cqed_lab.spectra import _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
 
@@ -274,6 +276,31 @@ class TestRabiSplitting:
         with pytest.raises(PeakError):
             rabi_splitting(emission_spectrum(params))
 
+    @pytest.mark.parametrize("g", [22.6, 60.0, 92.4])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_maxima_match_find_peaks(self, g, noise):
+        # scipy.signal.find_peaks with prominence= is the reference rule
+        from scipy.signal import find_peaks
+        rng = np.random.default_rng(5)
+        x = np.linspace(-1200.0, 1200.0, 2401)
+        for delta in (-300.0, -60.0, 0.0, 25.0, 200.0):
+            params = SystemParams(g=g, kappa=150.0, gamma=1.0, gamma_dp=5.0,
+                                  delta=delta)
+            y = emission_spectrum(params, grid=x).intensity
+            y = y * (1.0 + noise * rng.standard_normal(y.size))
+            for depth in (0.0, 0.01 * y.max(), 0.05 * y.max()):
+                want = find_peaks(y, prominence=depth)[0].tolist()
+                assert _prominent_maxima(y, depth) == want
+
+    def test_flat_top_maxima_match_find_peaks(self):
+        from scipy.signal import find_peaks
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            y = rng.integers(0, 4, size=rng.integers(3, 60)).astype(float)
+            for depth in (0.0, 1.0, 2.0):
+                want = find_peaks(y, prominence=depth)[0].tolist()
+                assert _prominent_maxima(y, depth) == want
+
     def test_three_peaks_error(self):
         x = np.linspace(-400.0, 400.0, 4001)
         y = (lorentzian(x, -100.0, 20.0, 1.0) + lorentzian(x, 0.0, 20.0, 0.9)
@@ -301,6 +328,16 @@ class TestSerialization:
         back, _ = read_spectrum(path)
         assert back.frame == "absolute"
         assert back.omega_qd == pytest.approx(1.342e6)
+
+    @pytest.mark.parametrize("body, message", [
+        ("# frame = offset\n0.0 1.0\n1.0\n", "malformed data line '1.0'"),
+        ("# frame = offset\n0.0 1.0\n", "fewer than two samples"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(GridError, match=re.escape(f"{path}: {message}")):
+            read_spectrum(path)
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(GridError):
