@@ -20,9 +20,9 @@ from .instrument import (IrfKernel, SampledSignal, convolve, deconvolve,
                          gaussian_irf, irf_band_limit, irf_fwhm_from_q,
                          read_irf, read_signal, write_signal)
 from .model import (SystemParams, Trajectory, coupling_from_rate,
-                    default_horizon, default_time_step, mean_decay_rate,
-                    propagate, purcell_enhancement, quality_factor,
-                    rabi_oracle, weak_coupling_rate)
+                    decay_moments, default_horizon, default_time_step,
+                    mean_decay_rate, propagate, purcell_enhancement,
+                    quality_factor, rabi_oracle, weak_coupling_rate)
 from .spectra import (CorrelationKernel, DetectionCoefficients, Spectrum,
                       background_fraction, correlation_kernel, default_grid,
                       emission_spectrum, rabi_splitting, read_spectrum,

@@ -478,29 +478,25 @@ def _system_metadata(cfg: ExperimentConfig, delta: float) -> dict:
 # simulate-sweep
 
 
-def _sweep_point(cfg: ExperimentConfig, delta: float):
+def _forward_point(cfg: ExperimentConfig, delta: float) -> tuple:
+    """Closed-form mean decay rate and spectrum at one detuning.
+
+    The spectrum is convolved with the spectral IRF when ``[spectra]
+    convolve_irf`` is set and an IRF is configured.
+    """
     params = cfg.params.with_(delta=delta)
-    traj = model.propagate(params)
-    rate = model.mean_decay_rate(traj)
     grid = cfg.spectrum_grid()
-    spec = spectra.emission_spectrum(params, cfg.det, grid, trajectory=traj)
+    spec = spectra.emission_spectrum(params, cfg.det, grid)
     if cfg.convolve_irf:
         irf = cfg.spectral_irf(float(grid[1] - grid[0]))
         if irf is not None:
-            sig = instrument.SampledSignal(spec.omega, spec.intensity,
-                                           "spectral")
-            spec = spectra.Spectrum(spec.omega,
-                                    instrument.convolve(sig, irf).values,
-                                    frame=spec.frame, omega_qd=spec.omega_qd)
-    try:
-        splitting = spectra.rabi_splitting(spec)
-    except PeakError:
-        splitting = math.nan
-    return delta, rate, splitting, spec
+            sig = instrument.SampledSignal(grid, spec.intensity, "spectral")
+            spec.intensity = instrument.convolve(sig, irf).values
+    return model.mean_decay_rate(params), spec
 
 
 def cmd_simulate_sweep(args) -> int:
-    """Propagate, rate-extract, and spectrum-compute a detuning sweep."""
+    """Mean decay rates, spectra and splittings over a detuning sweep."""
     log = _log("simulate-sweep")
     cfg = load_config(args.config)
     out_dir = args.out or cfg.out_dir
@@ -509,24 +505,27 @@ def cmd_simulate_sweep(args) -> int:
         raise ConfigError(f"{cfg.path}: [sweep] must define detunings")
     log.info("sweeping %d detuning points", len(cfg.deltas))
 
+    deltas = sorted(cfg.deltas)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_sweep_point, [cfg] * len(cfg.deltas),
-                                  cfg.deltas))
+            results = list(ex.map(_forward_point, [cfg] * len(deltas), deltas))
     else:
-        results = [_sweep_point(cfg, d) for d in cfg.deltas]
-    results.sort(key=lambda r: r[0])
+        results = [_forward_point(cfg, d) for d in deltas]
 
     rows = ["# cqed-lab sweep v1",
             "detuning_ueV,mean_rate_per_ns,peak_separation_ueV"]
-    for delta, rate, splitting, spec in results:
+    for delta, (rate, spec) in zip(deltas, results):
+        try:
+            splitting = spectra.rabi_splitting(spec)
+        except PeakError:
+            splitting = math.nan
         rows.append(f"{_fmt(delta)},{_fmt(rate)},{_fmt(splitting)}")
         spectra.write_spectrum(spec, os.path.join(out_dir,
                                                   _spectrum_filename(delta)),
                                metadata=_system_metadata(cfg, delta))
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(rows) + "\n")
     _svg_line_plot(os.path.join(out_dir, "sweep.svg"),
-                   [r[0] for r in results], [[r[1] for r in results]],
+                   deltas, [[rate for rate, _ in results]],
                    ["mean decay rate"], "Mean decay rate vs detuning",
                    "detuning (ueV)", "rate (1/ns)")
     log.info("wrote sweep.csv and %d spectra to %s", len(results), out_dir)
@@ -782,38 +781,18 @@ def cmd_deconvolve(args) -> int:
 # synthesize
 
 
-def _synth_spectrum(cfg: ExperimentConfig, delta: float, rng) -> tuple:
-    params = cfg.params.with_(delta=delta)
-    traj = model.propagate(params)
-    grid = cfg.spectrum_grid()
-    spec = spectra.emission_spectrum(params, cfg.det, grid, trajectory=traj)
-    values = spec.intensity
-    if cfg.convolve_irf:
-        irf = cfg.spectral_irf(float(grid[1] - grid[0]))
-        if irf is not None:
-            sig = instrument.SampledSignal(grid, values, "spectral")
-            values = instrument.convolve(sig, irf).values
+def _counts(cfg: ExperimentConfig, values: np.ndarray, rng) -> tuple:
+    """Scale ``values`` to ``peak_counts`` at their maximum, add Poisson noise."""
     scale = cfg.peak_counts / float(values.max())
     counts = values * scale
     if cfg.noise:
         counts = rng.poisson(np.clip(counts, 0.0, None)).astype(float)
-    truth = {
-        "kind": "spectrum",
-        "detuning_ueV": delta,
-        "params_ueV": {"g": params.g, "kappa": params.kappa,
-                       "gamma": params.gamma, "gamma_dp": params.gamma_dp},
-        "background_fraction": cfg.det.background_fraction,
-        "scale_counts_per_intensity": scale,
-        "mean_decay_rate_per_ns": model.mean_decay_rate(traj),
-    }
-    return grid, counts, truth
+    return counts, scale
 
 
 def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     params = cfg.params.with_(delta=cfg.decay_delta)
-    traj = model.propagate(params)
-    rate = model.mean_decay_rate(traj)
-    t_max = cfg.decay_t_max or traj.times[-1]
+    t_max = cfg.decay_t_max or model.default_horizon(params)
     dt = cfg.decay_dt or max(t_max / 8192.0, 2e-3)
     irf = cfg.temporal_irf(dt)
     fwhm = cfg.temporal_irf_fwhm or 0.0
@@ -831,15 +810,13 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     sig = instrument.SampledSignal(grid, vals, "temporal")
     if irf is not None:
         sig = instrument.convolve(sig, irf)
-    counts = sig.values * (cfg.peak_counts / float(sig.values.max()))
-    if cfg.noise:
-        counts = rng.poisson(np.clip(counts, 0.0, None)).astype(float)
+    counts, _ = _counts(cfg, sig.values, rng)
     truth = {
         "kind": "decay",
         "detuning_ueV": cfg.decay_delta,
         "params_ueV": {"g": params.g, "kappa": params.kappa,
                        "gamma": params.gamma, "gamma_dp": params.gamma_dp},
-        "mean_decay_rate_per_ns": rate,
+        "mean_decay_rate_per_ns": model.mean_decay_rate(params),
     }
     return grid, counts, truth
 
@@ -854,14 +831,23 @@ def cmd_synthesize(args) -> int:
 
     for idx, delta in enumerate(sorted(cfg.deltas)):
         rng = np.random.default_rng((seed, 1, idx))
-        grid, counts, truth = _synth_spectrum(cfg, delta, rng)
+        rate, spec = _forward_point(cfg, delta)
+        spec.intensity, scale = _counts(cfg, spec.intensity, rng)
+        p = cfg.params
+        truth = {
+            "kind": "spectrum",
+            "detuning_ueV": delta,
+            "params_ueV": {"g": p.g, "kappa": p.kappa, "gamma": p.gamma,
+                           "gamma_dp": p.gamma_dp},
+            "background_fraction": cfg.det.background_fraction,
+            "scale_counts_per_intensity": scale,
+            "mean_decay_rate_per_ns": rate,
+        }
         name = _spectrum_filename(delta)
         meta = _system_metadata(cfg, delta)
         meta["seed"] = str(seed)
-        spectra.write_spectrum(
-            spectra.Spectrum(grid, counts, frame="offset",
-                             omega_qd=cfg.params.omega_qd),
-            os.path.join(out_dir, name), metadata=meta)
+        spectra.write_spectrum(spec, os.path.join(out_dir, name),
+                               metadata=meta)
         _write_json(os.path.join(out_dir, name.replace(".txt", "_truth.json")),
                     truth)
     if cfg.deltas:

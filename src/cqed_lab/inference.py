@@ -13,15 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import fdtrc
 
 from .errors import FitError
 from .instrument import IrfKernel, SampledSignal, _aligned_offset
-from .model import SystemParams, propagate
-from .spectra import (DetectionCoefficients, correlation_kernel,
-                      resolvent_transform)
-from .units import HBAR_UEV_NS, HC_UEV_NM
+from .model import SystemParams
+from .spectra import DetectionCoefficients, _detected_intensity
+from .units import HC_UEV_NM
 
 __all__ = [
     "FitResult",
@@ -189,6 +186,17 @@ def decay_model(t: np.ndarray, params: DecayModelParams) -> np.ndarray:
     for r, a in zip(params.rates, params.amplitudes):
         out[on] += a * np.exp(-r * t[on])
     return out
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call.
+
+    Every argument is passed through and its result returned unchanged.
+    Importing ``scipy.optimize`` is most of the package's start-up time,
+    which commands that fit nothing need not pay.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def _finish(res, names, weights=None) -> FitResult:
@@ -518,6 +526,7 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
         n_comp = 2
         res = _fit_decay_order(curve, irf, 2)
     else:
+        from scipy.special import fdtrc
         res = _fit_decay_order(curve, irf, 1)
         n_comp = 1
         m = curve.values.size
@@ -555,7 +564,9 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
     All rates except g are held at their measured values
     (``fixed`` supplies kappa, gamma, gamma_dp, delta, in ueV); the free
     parameters are g plus an overall amplitude and center offset.  The
-    forward model is the cavity-detected emission spectrum (eta_qd = 0).
+    forward model is the cavity-detected emission spectrum (eta_qd = 0) on
+    the data's own grid, with its time integrals in closed form at every
+    evaluation; no grid coverage is required.
 
     The fit is flagged ``model-mismatch`` when its residual lies far above
     the noise of the data, i.e. when no g reproduces the measured line
@@ -582,8 +593,7 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
         g, amp, offset = p
         params = SystemParams(g=g, kappa=fixed["kappa"], gamma=fixed["gamma"],
                               gamma_dp=fixed["gamma_dp"], delta=fixed["delta"])
-        vals = _model_spectrum_values(params, det, x - offset)
-        return amp * vals
+        return amp * _detected_intensity(params, det, x - offset)
 
     def residual(p):
         return forward(p) - y
@@ -614,25 +624,6 @@ def _exceeds_noise(y: np.ndarray, ssr: float, n_par: int) -> bool:
     m_eff = 3.0 * float(d2.sum()) ** 2 / float((d2 * d2).sum())
     chi2 = ssr / (max(y.size - n_par, 1) * noise)
     return chi2 > 1.0 + 5.0 * math.sqrt(17.0 / (9.0 * m_eff))
-
-
-def _model_spectrum_values(params: SystemParams, det: DetectionCoefficients,
-                           grid: np.ndarray) -> np.ndarray:
-    """Spectrum model on an arbitrary (possibly narrow) fitting window."""
-    traj = propagate(params)
-    i_qd, i_ca, i_po = traj.integrals()
-    kernel = correlation_kernel(params, traj)
-    kt = params.kappa / HBAR_UEV_NS
-    vals = (abs(det.eta_ca) ** 2 * kt
-            * resolvent_transform(kernel.matrix, kernel.v0, grid)[0].real
-            / (math.pi * HBAR_UEV_NS))
-    frac = det.background_fraction
-    if frac > 0:
-        area = abs(det.eta_ca) ** 2 * kt * i_ca
-        half = params.kappa / 2.0
-        vals = vals + (frac / (1.0 - frac) * area) * (half / math.pi) / (
-            (grid + params.delta) ** 2 + half ** 2)
-    return vals
 
 
 def classify_coupling(records: list[SweepRecord],

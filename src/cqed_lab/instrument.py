@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft, rfftfreq
+from numpy.fft import irfft, rfft, rfftfreq
 
 from .errors import DeconvolutionError, GridError
 from .units import HC_UEV_NM
@@ -253,10 +253,15 @@ def write_signal(sig: SampledSignal, path, metadata: dict | None = None) -> None
     lines = ["# cqed-lab signal v1", f"# domain = {sig.domain}"]
     for key in sorted(metadata or {}):
         lines.append(f"# {key} = {metadata[key]}")
-    for x, v in zip(sig.grid, sig.values):
-        lines.append(f"{x:.12g} {v:.12g}")
+    _write_columns(path, lines, sig.grid, sig.values)
+
+
+def _write_columns(path, header: list, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Write header lines, then one "x y" row per sample, both as %.12g."""
+    rows = map("{:.12g} {:.12g}".format, np.asarray(xs, dtype=float).tolist(),
+               np.asarray(ys, dtype=float).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*header, *rows]) + "\n")
 
 
 def _read_columns(path) -> tuple[np.ndarray, np.ndarray, dict]:

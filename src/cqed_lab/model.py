@@ -12,6 +12,18 @@ with constant coefficients,
 with gamma_tot = (kappa + gamma + 2 gamma_dp)/2, so trajectories are
 computed exactly from the eigendecomposition of the generator rather than
 by time stepping.
+
+The analysis paths need only time integrals of the state y(t) = e^(Mt) y0,
+and those follow from the constant generator M by linear solves, with
+Y(T) = int_0^T y dt:
+
+    int_0^inf y dt   = -M^-1 y0        Y(T)           = M^-1 (y(T) - y0)
+    int_0^inf t y dt =  M^-2 y0        int_0^T t y dt = M^-1 (T y(T) - Y(T))
+
+(:func:`decay_moments` and :meth:`Trajectory.moments`).  The solves need
+every mode of M to decay; a generator with a non-decaying mode (g = 0 and
+gamma = 0 leave the emitter population constant) raises
+:class:`TruncationError`.
 """
 
 from __future__ import annotations
@@ -20,9 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import BracketError, GridError, TruncationError
 from .units import HBAR_UEV_NS, HC_UEV_NM
@@ -33,6 +42,7 @@ __all__ = [
     "propagate",
     "rabi_oracle",
     "weak_coupling_rate",
+    "decay_moments",
     "mean_decay_rate",
     "coupling_from_rate",
     "purcell_enhancement",
@@ -43,6 +53,10 @@ __all__ = [
 ]
 
 _DECAY_WEIGHTS = ("emission", "qd", "cavity")
+# Real parts of the generator's eigenvalues at or above this (ns^-1) count
+# as non-decaying modes.
+_DECAY_FLOOR = 1e-12
+_Y0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,10 @@ class SystemParams:
 
 @dataclass
 class Trajectory:
-    """Sampled single-excitation dynamics on a uniform time grid (ns)."""
+    """Sampled single-excitation dynamics on a uniform time grid (ns).
+
+    ``params`` supplies the generator that :meth:`moments` integrates with.
+    """
 
     times: np.ndarray
     rho_qd: np.ndarray
@@ -106,13 +123,30 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact int_0^T y dt and int_0^T t y dt over the stored horizon T.
+
+        ``y`` is the real state (rho_qd, rho_ca, Re rho_po, Im rho_po); the
+        integrals follow from y(T) and the generator of ``params`` in closed
+        form (see the module docstring), with no quadrature error.  M is
+        inverted, so a nearly lossless system (kappa and gamma many orders
+        below g) loses digits in proportion to cond(M).
+
+        Raises
+        ------
+        TruncationError
+            If the generator has a non-decaying mode.
+        """
+        minv = _inverse_generator(self.params)
+        t_end = float(self.times[-1])
+        y_end = np.array([self.rho_qd[-1], self.rho_ca[-1],
+                          self.rho_po[-1].real, self.rho_po[-1].imag])
+        i0 = minv @ (y_end - _Y0)
+        return i0, minv @ (t_end * y_end - i0)
+
     def integrals(self) -> tuple[float, float, complex]:
-        """Time integrals of (rho_qd, rho_ca, rho_po) on the stored grid."""
-        t = self.times
-        i_qd = simpson(self.rho_qd, x=t)
-        i_ca = simpson(self.rho_ca, x=t)
-        i_po = simpson(self.rho_po.real, x=t) + 1j * simpson(self.rho_po.imag, x=t)
-        return float(i_qd), float(i_ca), complex(i_po)
+        """Time integrals of (rho_qd, rho_ca, rho_po) over the stored horizon."""
+        return _as_integrals(self.moments()[0])
 
     def energy_balance(self) -> float:
         """gamma*int(rho_qd) + kappa*int(rho_ca) in photon-number units.
@@ -150,24 +184,57 @@ def default_time_step(params: SystemParams) -> float:
 def default_horizon(params: SystemParams) -> float:
     """Horizon (ns) giving 20 e-folds of the slowest decaying mode."""
     eigvals = np.linalg.eigvals(generator_matrix(params))
-    decaying = -eigvals.real[eigvals.real < -1e-12]
+    decaying = -eigvals.real[eigvals.real < -_DECAY_FLOOR]
     if decaying.size == 0:
         raise TruncationError("system has no decaying mode; supply t_max")
     return 20.0 / float(decaying.min())
 
 
+def _inverse_generator(params: SystemParams) -> np.ndarray:
+    """M^-1 of the generator, ns; every mode must decay."""
+    M = generator_matrix(params)
+    slowest = float(np.linalg.eigvals(M).real.max())
+    if slowest >= -_DECAY_FLOOR:
+        raise TruncationError(
+            f"generator has a non-decaying mode (eigenvalue real part "
+            f"{slowest:.3g} ns^-1); its time integrals diverge")
+    return np.linalg.inv(M)
+
+
+def _as_integrals(i0: np.ndarray) -> tuple[float, float, complex]:
+    """(int rho_qd, int rho_ca, int rho_po) from an integrated real state."""
+    return float(i0[0]), float(i0[1]), complex(i0[2], i0[3])
+
+
+def decay_moments(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form int_0^inf y dt = -M^-1 y0 and int_0^inf t y dt = M^-2 y0.
+
+    ``y`` is the real state (rho_qd, rho_ca, Re rho_po, Im rho_po) from an
+    excited emitter, y0 = (1, 0, 0, 0), and M its generator
+    (:func:`generator_matrix`); both moments are in ns and ns^2.
+
+    Raises
+    ------
+    TruncationError
+        If the generator has a non-decaying mode.
+    """
+    minv = _inverse_generator(params)
+    i0 = -minv[:, 0]
+    return i0, -(minv @ i0)
+
+
 def _dense_solution(M: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Evaluate exp(M t) y0 on all grid points, y0 = (1, 0, 0, 0)."""
-    y0 = np.array([1.0, 0.0, 0.0, 0.0])
     w, v = np.linalg.eig(M)
     if np.linalg.cond(v) < 1e10:
-        c = np.linalg.solve(v, y0.astype(complex))
+        c = np.linalg.solve(v, _Y0.astype(complex))
         return (v @ (np.exp(np.outer(w, times)) * c[:, None])).real
     # near-defective generator (exceptional point): step with doubled
     # matrix-exponential blocks instead
+    from scipy.linalg import expm
     n = times.size
     step = expm(M * (times[1] - times[0]))
-    out = y0[:, None].copy()
+    out = _Y0[:, None].copy()
     block = step
     while out.shape[1] < n:
         out = np.hstack([out, block @ out])
@@ -231,11 +298,12 @@ def weak_coupling_rate(params: SystemParams) -> float:
     return (params.gamma + enh) / HBAR_UEV_NS
 
 
-def mean_decay_rate(traj: Trajectory, weight: str = "emission") -> float:
-    """Inverse mean decay time of a fully decayed trajectory, ns^-1.
+def mean_decay_rate(source: SystemParams | Trajectory,
+                    weight: str = "emission") -> float:
+    """Inverse mean decay time, ns^-1.
 
     The mean decay time is the first moment <t> = int t w(t) dt / int w(t) dt
-    of the weighting signal w(t):
+    of the weighting signal w(t), a fixed combination c . y of the state:
 
     - ``"emission"`` (default): total emitted photon flux
       gamma*rho_qd + kappa*rho_ca, the arrival-time distribution of all
@@ -243,31 +311,41 @@ def mean_decay_rate(traj: Trajectory, weight: str = "emission") -> float:
     - ``"qd"``: the emitter population rho_qd;
     - ``"cavity"``: the cavity population rho_ca.
 
+    For ``SystemParams`` both integrals run to infinity and are closed
+    forms, c . (-M^-1 y0) and c . M^-2 y0 (:func:`decay_moments`).  For a
+    sampled ``Trajectory`` they run to its horizon, exactly
+    (:meth:`Trajectory.moments`), and the trajectory must have decayed.
+
     Raises
     ------
     TruncationError
-        If the trajectory has not decayed to rho_qd < 1e-6 at t_max.
+        If the generator has a non-decaying mode, or a trajectory has not
+        decayed to rho_qd < 1e-6 at t_max.
     """
     if weight not in _DECAY_WEIGHTS:
         raise ValueError(f"weight must be one of {_DECAY_WEIGHTS}")
-    rq = traj.rho_qd
-    tail = rq[-max(2, rq.size // 20):]
-    if rq[-1] >= 1e-6 or tail.max() >= 1e-4:
-        raise TruncationError(
-            f"trajectory not decayed at t_max (rho_qd(t_max)={rq[-1]:.3g}); "
-            "increase t_max")
-    p = traj.params
-    if weight == "qd":
-        w = rq
-    elif weight == "cavity":
-        w = traj.rho_ca
+    if isinstance(source, Trajectory):
+        rq = source.rho_qd
+        tail = rq[-max(2, rq.size // 20):]
+        if rq[-1] >= 1e-6 or tail.max() >= 1e-4:
+            raise TruncationError(
+                "trajectory not decayed at t_max "
+                f"(rho_qd(t_max)={rq[-1]:.3g}); increase t_max")
+        p = source.params
+        i0, i1 = source.moments()
     else:
-        w = p.gamma * rq + p.kappa * traj.rho_ca
-    t = traj.times
-    norm = simpson(w, x=t)
+        p = source
+        i0, i1 = decay_moments(p)
+    if weight == "qd":
+        c = _Y0
+    elif weight == "cavity":
+        c = np.array([0.0, 1.0, 0.0, 0.0])
+    else:
+        c = np.array([p.gamma, p.kappa, 0.0, 0.0])
+    norm = float(c @ i0)
     if norm <= 0:
         raise TruncationError("weighting signal carries no area")
-    return float(norm / simpson(t * w, x=t))
+    return norm / float(c @ i1)
 
 
 def coupling_from_rate(target: float, params: SystemParams,
@@ -277,8 +355,9 @@ def coupling_from_rate(target: float, params: SystemParams,
 
     ``mode="adiabatic"`` inverts the closed-form weak-coupling rate,
     g^2 = (Gamma - gamma)(gamma_tot^2 + delta^2) / (2 gamma_tot).
-    ``mode="full"`` root-finds g so the full-model mean decay rate matches
-    the target; ``params.g`` is ignored in both modes.
+    ``mode="full"`` root-finds g so the full-model mean decay rate, in
+    closed form at every step, matches the target; ``params.g`` is ignored
+    in both modes.
     """
     if mode not in ("adiabatic", "full"):
         raise ValueError("mode must be 'adiabatic' or 'full'")
@@ -295,8 +374,10 @@ def coupling_from_rate(target: float, params: SystemParams,
         g_sq = (gamma_ueV - params.gamma) * (gtot ** 2 + params.delta ** 2) / (2.0 * gtot)
         return math.sqrt(g_sq)
 
+    from scipy.optimize import brentq
+
     def f(g):
-        return mean_decay_rate(propagate(params.with_(g=g)), weight=weight) - target
+        return mean_decay_rate(params.with_(g=g), weight=weight) - target
 
     hi = max(coupling_from_rate(target, params, mode="adiabatic"), 1e-3)
     lo = 0.0

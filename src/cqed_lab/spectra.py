@@ -6,7 +6,9 @@ detected spectrum is the half-range Fourier transform of the time-integrated
 first-order correlation, evaluated in closed form through the resolvent of
 that generator; the detected field mixes the cavity and emitter channels
 with complex collection coefficients, which produces interference terms on
-top of the two channel spectra.
+top of the two channel spectra.  The equal-time correlations enter through
+their time integrals, which :func:`cqed_lab.model.decay_moments` gives in
+closed form; no trajectory need be sampled.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PeakError
-from .instrument import _read_columns
-from .model import SystemParams, Trajectory, propagate
+from .instrument import _read_columns, _write_columns
+from .model import SystemParams, Trajectory, _as_integrals, decay_moments
+# bound here as well: the tracing self-test checks that wrapping leaves
+# spectra.propagate and model.propagate the same object
+from .model import propagate  # noqa: F401
 from .units import HBAR_UEV_NS
 
 __all__ = [
@@ -112,12 +117,26 @@ def correlation_kernel(params: SystemParams,
     At g=0 the cavity entry evolves as exp((-kappa/2 - i*delta) tau) and the
     emitter entry as exp(-(gamma/2 + gamma_dp) tau); the off-diagonal
     coupling has magnitude g with signs matching the population dynamics.
+    ``v0`` holds the time integrals to infinity in closed form
+    (:func:`cqed_lab.model.decay_moments`), or over the horizon of
+    ``trajectory`` when one is passed.
+
+    Raises
+    ------
+    TruncationError
+        If the population generator has a non-decaying mode.
     """
-    if trajectory is None:
-        trajectory = propagate(params)
-    _, i_ca, i_po = trajectory.integrals()
+    _, i_ca, i_po = _time_integrals(params, trajectory)
     return CorrelationKernel(matrix=_correlation_generator(params),
                              v0=np.array([i_ca, np.conj(i_po)]))
+
+
+def _time_integrals(params: SystemParams, trajectory: Trajectory | None
+                    ) -> tuple[float, float, complex]:
+    """(int rho_qd, int rho_ca, int rho_po) dt in ns; closed form or sampled."""
+    if trajectory is not None:
+        return trajectory.integrals()
+    return _as_integrals(decay_moments(params)[0])
 
 
 def _correlation_generator(params: SystemParams) -> np.ndarray:
@@ -197,9 +216,12 @@ def emission_spectrum(params: SystemParams,
     The spectrum is assembled from the resolvent of the correlation
     generator with the channel weights kappa, gamma, sqrt(kappa*gamma), and
     is normalized so that each channel integrates to its emitted photon
-    number.  With ``det.background_fraction`` > 0 an incoherent Lorentzian
-    pedestal (bare cavity width, centered on the cavity) is added carrying
-    that fraction of the total cavity-channel area.
+    number.  The equal-time correlations it starts from are time integrals
+    of the population dynamics, taken in closed form, -M^-1 y0 for the
+    population generator M (:func:`cqed_lab.model.decay_moments`).  With
+    ``det.background_fraction`` > 0 an incoherent Lorentzian pedestal (bare
+    cavity width, centered on the cavity) is added carrying that fraction of
+    the total cavity-channel area.
 
     Parameters
     ----------
@@ -214,7 +236,8 @@ def emission_spectrum(params: SystemParams,
         plus the bare cavity line (-delta, half-width kappa/2) when a
         background pedestal is present.
     trajectory : Trajectory, optional
-        Reuse a propagated trajectory for the time-integrated correlations.
+        Take the time-integrated correlations over this trajectory's
+        horizon instead of the closed-form integrals to infinity.
 
     Returns
     -------
@@ -225,6 +248,9 @@ def emission_spectrum(params: SystemParams,
     ------
     GridError
         If ``grid`` misses the coverage stated above.
+    TruncationError
+        If the population generator has a non-decaying mode (for example
+        g = 0 and gamma = 0), so the time integrals diverge.
     """
     if det is None:
         det = DetectionCoefficients()
@@ -237,21 +263,24 @@ def emission_spectrum(params: SystemParams,
             f"grid [{grid[0]:g}, {grid[-1]:g}] ueV too narrow; need "
             f"[{lo_need:.6g}, {hi_need:.6g}] to reach {_GRID_HALF_WIDTHS:g} "
             "half-widths past every spectral line")
+    intensity = _detected_intensity(params, det, grid, trajectory)
+    return Spectrum(omega=grid, intensity=intensity, frame="offset",
+                    omega_qd=params.omega_qd)
 
-    if trajectory is None:
-        trajectory = propagate(params)
-    i_qd, i_ca, i_po = trajectory.integrals()
-    kernel = correlation_kernel(params, trajectory)
-    v_ca = kernel.v0
-    v_qd = np.array([i_po, i_qd])
 
+def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
+                        grid: np.ndarray,
+                        trajectory: Trajectory | None = None) -> np.ndarray:
+    """Intensity of :func:`emission_spectrum` on any grid, unchecked."""
+    i_qd, i_ca, i_po = _time_integrals(params, trajectory)
+    matrix = _correlation_generator(params)
     kt = params.kappa / HBAR_UEV_NS
     gm = params.gamma / HBAR_UEV_NS
     eca, eqd = complex(det.eta_ca), complex(det.eta_qd)
-    r_ca = resolvent_transform(kernel.matrix, v_ca, grid)
+    r_ca = resolvent_transform(matrix, np.array([i_ca, np.conj(i_po)]), grid)
     terms = abs(eca) ** 2 * kt * r_ca[0]
     if eqd != 0:
-        r_qd = resolvent_transform(kernel.matrix, v_qd, grid)
+        r_qd = resolvent_transform(matrix, np.array([i_po, i_qd]), grid)
         root = math.sqrt(kt * gm)
         terms = (terms
                  + abs(eqd) ** 2 * gm * r_qd[1]
@@ -264,19 +293,16 @@ def emission_spectrum(params: SystemParams,
         warnings.warn(
             "interference terms drove the spectrum negative beyond numerical "
             f"tolerance (min {intensity.min():.3g} vs peak {peak:.3g}); "
-            "reported unclipped", stacklevel=2)
+            "reported unclipped", stacklevel=3)
 
     frac = det.background_fraction
     if frac > 0.0:
         area_ca = abs(eca) ** 2 * kt * i_ca
         pedestal_area = frac / (1.0 - frac) * area_ca
         half = params.kappa / 2.0
-        pedestal = pedestal_area * (half / math.pi) / (
+        intensity = intensity + pedestal_area * (half / math.pi) / (
             (grid + params.delta) ** 2 + half ** 2)
-        intensity = intensity + pedestal
-
-    return Spectrum(omega=grid, intensity=intensity, frame="offset",
-                    omega_qd=params.omega_qd)
+    return intensity
 
 
 def rabi_splitting(spec: Spectrum, prominence: float = 0.05) -> float:
@@ -350,10 +376,7 @@ def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
     for key in sorted(metadata or {}):
         lines.append(f"# {key} = {metadata[key]}")
     lines.append("# columns: omega_ueV intensity")
-    for x, v in zip(spec.omega, spec.intensity):
-        lines.append(f"{x:.12g} {v:.12g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_columns(path, lines, spec.omega, spec.intensity)
 
 
 def read_spectrum(path) -> tuple[Spectrum, dict]:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cqed_lab import (HBAR_UEV_NS, GridError, SystemParams, TruncationError,
-                      coupling_from_rate, mean_decay_rate, propagate,
-                      purcell_enhancement, quality_factor, rabi_oracle,
-                      weak_coupling_rate)
-from oracles import rk4_trajectory
+                      correlation_kernel, coupling_from_rate, decay_moments,
+                      default_time_step, emission_spectrum, mean_decay_rate,
+                      propagate, purcell_enhancement, quality_factor,
+                      rabi_oracle, weak_coupling_rate)
+from oracles import rk4_trajectory, simpson_integral
 
 
 def random_params(rng):
@@ -199,6 +200,57 @@ class TestMeanDecayRate:
                                   delta=rng.uniform(-50.0, 50.0))
             full = mean_decay_rate(propagate(params))
             assert full == pytest.approx(weak_coupling_rate(params), rel=0.05)
+
+
+class TestClosedFormMoments:
+    PARAMS = [
+        SystemParams(g=22.6, kappa=110.0, gamma=1.3, gamma_dp=6.3),
+        SystemParams(g=92.4, kappa=195.0, gamma=0.2, gamma_dp=4.0, delta=50.0),
+        SystemParams(g=(110.0 - 1.3) / 4.0, kappa=110.0, gamma=1.3),
+        SystemParams(g=5.0, kappa=150.0, gamma=2.0, gamma_dp=3.0,
+                     delta=-100.0),
+    ]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_agree_with_sampled_quadrature(self, params):
+        traj = propagate(params)
+        rows = np.array([traj.rho_qd, traj.rho_ca, traj.rho_po.real,
+                         traj.rho_po.imag])
+        sampled0 = np.array([simpson_integral(r, traj.times) for r in rows])
+        sampled1 = np.array([simpson_integral(traj.times * r, traj.times)
+                             for r in rows])
+        scale0, scale1 = np.abs(sampled0).max(), np.abs(sampled1).max()
+        for i0, i1 in (decay_moments(params), traj.moments()):
+            assert np.abs(i0 - sampled0).max() < 1e-6 * scale0
+            assert np.abs(i1 - sampled1).max() < 1e-5 * scale1
+        w = params.gamma * rows[0] + params.kappa * rows[1]
+        sampled_rate = (simpson_integral(w, traj.times)
+                        / simpson_integral(traj.times * w, traj.times))
+        assert mean_decay_rate(params) == pytest.approx(sampled_rate, rel=1e-5)
+
+    def test_finite_horizon_is_exact(self, micropillar):
+        # an undecayed trajectory, sampled 50x finer than the default step so
+        # that Simpson's own error stays far below the tolerance
+        params = micropillar.with_(delta=17.0)
+        traj = propagate(params, t_max=0.05,
+                         dt=default_time_step(params) / 50)
+        i_qd, i_ca, i_po = traj.integrals()
+        t = traj.times
+        for value, row in ((i_qd, traj.rho_qd), (i_ca, traj.rho_ca),
+                           (i_po.imag, traj.rho_po.imag)):
+            assert value == pytest.approx(simpson_integral(row, t), rel=1e-10)
+
+    def test_non_decaying_generator_raises(self):
+        # g = 0 and gamma = 0: the emitter population never changes
+        params = SystemParams(g=0.0, kappa=50.0, gamma=0.0)
+        grid = np.linspace(-500.0, 500.0, 101)
+        for call in (lambda: decay_moments(params),
+                     lambda: mean_decay_rate(params),
+                     lambda: correlation_kernel(params),
+                     lambda: emission_spectrum(params, grid=grid),
+                     lambda: propagate(params, t_max=1.0).integrals()):
+            with pytest.raises(TruncationError):
+                call()
 
 
 class TestCouplingFromRate:

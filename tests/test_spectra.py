@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
-                      PeakError, Spectrum, SystemParams, background_fraction,
-                      correlation_kernel, default_grid, emission_spectrum,
-                      lorentzian, propagate, rabi_splitting, read_spectrum,
-                      resolvent_transform, write_spectrum)
+                      PeakError, SampledSignal, Spectrum, SystemParams,
+                      background_fraction, correlation_kernel, default_grid,
+                      emission_spectrum, lorentzian, propagate,
+                      rabi_splitting, read_spectrum, resolvent_transform,
+                      write_signal, write_spectrum)
 from cqed_lab.spectra import _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
@@ -342,3 +343,32 @@ class TestSerialization:
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(GridError):
             Spectrum(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+
+    def test_writers_match_per_row_format(self, tmp_path, pc_cavity):
+        # reference format: one f-string per row on numpy scalars
+        def per_row(header, xs, ys):
+            lines = header + [f"{x:.12g} {v:.12g}" for x, v in zip(xs, ys)]
+            return "\n".join(lines) + "\n"
+
+        spec = emission_spectrum(pc_cavity.with_(delta=50.0),
+                                 grid=default_grid(pc_cavity, 4096))
+        spec.omega_qd = 1.333e6
+        spec.intensity[::7] *= -1.0  # signs and tiny values format too
+        spec.intensity[5] = 1e-300
+        path = tmp_path / "spec.txt"
+        write_spectrum(spec, path,
+                       metadata={"seed": "3", "detuning_ueV": "50"})
+        header = ["# cqed-lab spectrum v1", "# frame = offset",
+                  "# omega_qd_ueV = 1333000", "# detuning_ueV = 50",
+                  "# seed = 3", "# columns: omega_ueV intensity"]
+        assert path.read_bytes() == per_row(
+            header, spec.omega, spec.intensity).encode()
+
+        sig = SampledSignal(np.arange(-40, 3000) * 2e-3,
+                            np.random.default_rng(1).poisson(50.0, 3040)
+                            .astype(float), "temporal")
+        path = tmp_path / "sig.txt"
+        write_signal(sig, path, metadata={"seed": "3"})
+        header = ["# cqed-lab signal v1", "# domain = temporal", "# seed = 3"]
+        assert path.read_bytes() == per_row(
+            header, sig.grid, sig.values).encode()
