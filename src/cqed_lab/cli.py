@@ -4,12 +4,15 @@ Subcommands: simulate-sweep, fit-spectra, fit-decay, compare-g, deconvolve,
 synthesize.  Configuration is plain ``key = value`` text in ``[section]``
 blocks; all energies in ueV, times in ns, wavelengths in nm (units are part
 of the key names).  Outputs are written atomically and deterministically:
-a fixed config and seed reproduce byte-identical files.
+a fixed config and seed reproduce byte-identical files.  ``_SCHEMA`` is the
+reference for the config: every section and key (with its unit), what its
+value must be, and its default.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import concurrent.futures
 import json
 import logging
@@ -17,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +38,8 @@ _log = logging.getLogger
 # configuration
 
 
-def _parse_sections(text: str, path: str) -> dict:
-    """Parse [section] / key = value text, keeping line numbers."""
+def _parse_sections(text: str, path: str) -> tuple:
+    """Parse [section] / key = value text: entries and header line numbers."""
     sections: dict[str, dict] = {}
     lines_of: dict[str, int] = {}
     current = None
@@ -61,160 +64,147 @@ def _parse_sections(text: str, path: str) -> dict:
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         sections[current][key] = (val.strip(), lineno)
-    sections["__lines__"] = lines_of
-    return sections
+    return sections, lines_of
 
 
-_KNOWN_KEYS = {
-    "system": {"g_ueV", "kappa_ueV", "gamma_ueV", "gamma_dp_ueV",
-               "omega_qd_ueV", "wavelength_nm"},
-    "sweep": {"deltas_ueV", "delta_min_ueV", "delta_max_ueV", "delta_step_ueV"},
-    "detection": {"eta_ca", "eta_qd", "background_fraction"},
-    "spectra": {"grid_span_ueV", "grid_points", "convolve_irf"},
-    "instrument": {"spectral_irf_file", "spectral_irf_fwhm_ueV",
-                   "spectrometer_q", "temporal_irf_file",
-                   "temporal_irf_fwhm_ns"},
-    "decay": {"delta_ueV", "t_max_ns", "dt_ns", "t_lead_ns"},
-    "fit": {"decay_mode", "coupling_mode", "init_g_ueV",
-            "convolve_spectral_irf", "deconvolve", "band_limit"},
-    "synthesize": {"peak_counts", "noise"},
-    "output": {"out_dir", "seed"},
-}
+REQUIRED = object()
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-class _Reader:
-    """Typed access to one parsed section with file:line error messages."""
+def _parser(convert, accept):
+    """Parse text with ``convert``; reject a value that ``accept`` refuses."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+    return parse
 
-    def __init__(self, path: str, name: str, entries: dict):
-        self.path = path
-        self.name = name
-        self.entries = entries
 
-    def _raw(self, key):
-        return self.entries.get(key)
+_number = _parser(float, math.isfinite)
+_positive = _parser(float, lambda x: math.isfinite(x) and x > 0)
+_complex = _parser(complex, cmath.isfinite)
+_NUM, _POS, _BOOL = "a finite number", "a finite number > 0", "a boolean"
+_CPLX = "a finite real or complex number"
 
-    def has(self, key) -> bool:
-        return key in self.entries
 
-    def _convert(self, key, conv, what):
-        val, lineno = self.entries[key]
-        try:
-            return conv(val)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self.path}:{lineno}: [{self.name}] {key} must be {what}, "
-                f"got {val!r}") from None
+def _numbers(text: str) -> list:
+    return [_number(tok) for tok in text.replace(",", " ").split()]
 
-    def get_float(self, key, default=None):
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError(
-                    f"{self.path}: missing required key {key!r} in "
-                    f"[{self.name}]")
-            return default
-        return self._convert(key, float, "a number")
 
-    def get_int(self, key, default):
-        if key not in self.entries:
-            return default
-        return self._convert(key, int, "an integer")
+def _bool(text: str) -> bool:
+    return _BOOLS[text.lower()]
 
-    def get_complex(self, key, default):
-        if key not in self.entries:
-            return default
-        return self._convert(key, complex, "a real or complex number")
 
-    def get_str(self, key, default=None):
-        if key not in self.entries:
-            return default
-        return self.entries[key][0]
+def _choice(*names):
+    return _parser(str, names.__contains__)
 
-    def get_bool(self, key, default):
-        if key not in self.entries:
-            return default
-        val, lineno = self.entries[key]
-        low = val.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(
-            f"{self.path}:{lineno}: [{self.name}] {key} must be a boolean")
 
-    def get_choice(self, key, choices, default):
-        val = self.get_str(key, default)
-        if val not in choices:
-            lineno = self.entries[key][1]
-            raise ConfigError(
-                f"{self.path}:{lineno}: [{self.name}] {key} must be one of "
-                f"{sorted(choices)}")
-        return val
-
-    def error(self, key, message):
-        lineno = self.entries[key][1] if key in self.entries else 0
-        raise ConfigError(f"{self.path}:{lineno}: [{self.name}] {message}")
+# Every config key: section, key, ExperimentConfig field (or the
+# SystemParams / DetectionCoefficients / sweep / spectrometer value that
+# load_config combines into one), parser, what the value must be, default.
+_SCHEMA = (
+    ("system", "g_ueV", "g", _number, _NUM, REQUIRED),
+    ("system", "kappa_ueV", "kappa", _number, _NUM, REQUIRED),
+    ("system", "gamma_ueV", "gamma", _number, _NUM, REQUIRED),
+    ("system", "gamma_dp_ueV", "gamma_dp", _number, _NUM, 0.0),
+    ("system", "omega_qd_ueV", "omega_qd", _positive, _POS, None),
+    ("system", "wavelength_nm", "wavelength_nm", _positive, _POS, None),
+    ("sweep", "deltas_ueV", "deltas", _numbers, "finite numbers", None),
+    ("sweep", "delta_min_ueV", "delta_min", _number, _NUM, None),
+    ("sweep", "delta_max_ueV", "delta_max", _number, _NUM, None),
+    ("sweep", "delta_step_ueV", "delta_step", _positive, _POS, None),
+    ("detection", "eta_ca", "eta_ca", _complex, _CPLX, 1.0),
+    ("detection", "eta_qd", "eta_qd", _complex, _CPLX, 0.0),
+    ("detection", "background_fraction", "background_fraction", _number,
+     _NUM, 0.0),
+    ("spectra", "grid_span_ueV", "grid_span", _positive, _POS, None),
+    ("spectra", "grid_points", "grid_points", _parser(int, lambda n: n >= 16),
+     "an integer >= 16", 4096),
+    ("spectra", "convolve_irf", "convolve_irf", _bool, _BOOL, False),
+    ("instrument", "spectral_irf_file", "spectral_irf_file", str,
+     "a file name", None),
+    ("instrument", "spectral_irf_fwhm_ueV", "spectral_irf_fwhm", _positive,
+     _POS, None),
+    ("instrument", "spectrometer_q", "spectrometer_q", _positive, _POS, None),
+    ("instrument", "temporal_irf_file", "temporal_irf_file", str,
+     "a file name", None),
+    ("instrument", "temporal_irf_fwhm_ns", "temporal_irf_fwhm", _positive,
+     _POS, None),
+    ("decay", "delta_ueV", "decay_delta", _number, _NUM, 0.0),
+    ("decay", "t_max_ns", "decay_t_max", _positive, _POS, None),
+    ("decay", "dt_ns", "decay_dt", _positive, _POS, None),
+    ("decay", "t_lead_ns", "decay_t_lead", _positive, _POS, None),
+    ("fit", "decay_mode", "decay_mode", _choice("single", "bi", "multi"),
+     "one of single, bi, multi", "multi"),
+    ("fit", "coupling_mode", "coupling_mode", _choice("adiabatic", "full"),
+     "one of adiabatic, full", "adiabatic"),
+    ("fit", "init_g_ueV", "init_g", _positive, _POS, None),
+    ("fit", "convolve_spectral_irf", "fit_convolve_irf", _bool, _BOOL, False),
+    ("fit", "deconvolve", "fit_deconvolve", _bool, _BOOL, False),
+    ("fit", "band_limit", "band_limit", _positive, _POS, None),
+    ("synthesize", "peak_counts", "peak_counts", _positive, _POS, 10000.0),
+    ("synthesize", "noise", "noise", _bool, _BOOL, True),
+    ("output", "out_dir", "out_dir", str, "a directory", "."),
+    ("output", "seed", "seed", _parser(int, lambda n: n >= 0),
+     "an integer >= 0", None),
+)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description driving all subcommands."""
+    """Validated experiment description driving all subcommands.
+
+    :func:`load_config` builds it; ``_SCHEMA`` holds each field's key and
+    default.
+    """
 
     path: str
     params: model.SystemParams
-    deltas: list = field(default_factory=list)
-    det: spectra.DetectionCoefficients = None
-    wavelength_nm: float | None = None
-    grid_span: float | None = None
-    grid_points: int = 4096
-    convolve_irf: bool = False
-    spectral_irf_file: str | None = None
-    spectral_irf_fwhm: float | None = None
-    temporal_irf_file: str | None = None
-    temporal_irf_fwhm: float | None = None
-    decay_delta: float = 0.0
-    decay_t_max: float | None = None
-    decay_dt: float | None = None
-    decay_t_lead: float | None = None
-    decay_mode: str = "multi"
-    coupling_mode: str = "adiabatic"
-    init_g: float | None = None
-    fit_convolve_irf: bool = False
-    fit_deconvolve: bool = False
-    band_limit: float | None = None
-    peak_counts: float = 10000.0
-    noise: bool = True
-    out_dir: str = "."
-    seed: int | None = None
+    deltas: list
+    det: spectra.DetectionCoefficients
+    wavelength_nm: float | None
+    grid_span: float | None
+    grid_points: int
+    convolve_irf: bool
+    spectral_irf_file: str | None
+    spectral_irf_fwhm: float | None
+    temporal_irf_file: str | None
+    temporal_irf_fwhm: float | None
+    decay_delta: float
+    decay_t_max: float | None
+    decay_dt: float | None
+    decay_t_lead: float | None
+    decay_mode: str
+    coupling_mode: str
+    init_g: float | None
+    fit_convolve_irf: bool
+    fit_deconvolve: bool
+    band_limit: float | None
+    peak_counts: float
+    noise: bool
+    out_dir: str
+    seed: int | None
 
     def spectrum_grid(self) -> np.ndarray:
-        span = self.grid_span
-        if span is None:
-            p = self.params
-            base = 20.0 * max(p.kappa, p.gamma + 2.0 * p.gamma_dp, 2.0 * p.g)
-            reach = max((abs(d) for d in self.deltas), default=0.0)
-            span = base + reach
-        return np.linspace(-span, span, self.grid_points)
+        if self.grid_span is not None:
+            return np.linspace(-self.grid_span, self.grid_span,
+                               self.grid_points)
+        reach = max((abs(d) for d in self.deltas), default=0.0)
+        return spectra.default_grid(self.params, self.grid_points, reach)
 
-    def spectral_irf(self, step: float) -> instrument.IrfKernel | None:
-        """Spectrometer IRF on a grid commensurate with ``step`` (ueV)."""
-        if self.spectral_irf_file:
-            return instrument.read_irf(self.spectral_irf_file, "spectral")
-        if self.spectral_irf_fwhm:
-            half = int(math.ceil(4.0 * self.spectral_irf_fwhm / step))
-            grid = np.arange(-half, half + 1) * step
-            return instrument.gaussian_irf(self.spectral_irf_fwhm, grid,
-                                           "spectral")
-        return None
-
-    def temporal_irf(self, step: float) -> instrument.IrfKernel | None:
-        """APD IRF on a grid commensurate with ``step`` (ns)."""
-        if self.temporal_irf_file:
-            return instrument.read_irf(self.temporal_irf_file, "temporal")
-        if self.temporal_irf_fwhm:
-            half = int(math.ceil(4.0 * self.temporal_irf_fwhm / step))
-            grid = np.arange(-half, half + 1) * step
-            return instrument.gaussian_irf(self.temporal_irf_fwhm, grid,
-                                           "temporal")
+    def irf(self, domain: str, step: float) -> instrument.IrfKernel | None:
+        """The ``domain`` IRF ("spectral" in ueV or "temporal" in ns) from
+        its file, else as a Gaussian on a grid commensurate with ``step``."""
+        path = getattr(self, f"{domain}_irf_file")
+        fwhm = getattr(self, f"{domain}_irf_fwhm")
+        if path is not None:
+            return instrument.read_irf(path, domain)
+        if fwhm is not None:
+            half = int(math.ceil(4.0 * fwhm / step))
+            return instrument.gaussian_irf(
+                fwhm, np.arange(-half, half + 1) * step, domain)
         return None
 
 
@@ -225,133 +215,87 @@ def load_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    sections = _parse_sections(text, path)
-    lines_of = sections.pop("__lines__")
+    sections, lines_of = _parse_sections(text, path)
+    known = {(section, key) for section, key, *_ in _SCHEMA}
     for name, entries in sections.items():
-        if name not in _KNOWN_KEYS:
+        if name not in {section for section, _ in known}:
             raise ConfigError(f"{path}:{lines_of[name]}: unknown section "
                               f"[{name}]")
         for key, (_, lineno) in entries.items():
-            if key not in _KNOWN_KEYS[name]:
+            if (name, key) not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in "
                                   f"[{name}]")
-
-    def reader(name):
-        return _Reader(path, name, sections.get(name, {}))
-
-    sys_r = reader("system")
     if "system" not in sections:
         raise ConfigError(f"{path}: missing required section [system]")
-    omega_qd = sys_r.get_float("omega_qd_ueV", math.nan)
+
+    def fail(section, key, message):
+        entry = sections.get(section, {}).get(key)
+        where = f"{path}:{entry[1]}" if entry else path
+        raise ConfigError(f"{where}: [{section}] {key} {message}")
+
+    v = {}
+    for section, key, name, parse, what, default in _SCHEMA:
+        if key not in sections.get(section, {}):
+            if default is REQUIRED:
+                fail(section, key, "is required")
+            v[name] = default
+            continue
+        text = sections[section][key][0]
+        try:
+            v[name] = parse(text)
+        except (LookupError, TypeError, ValueError):
+            fail(section, key, f"must be {what}, got {text!r}")
+
     try:
-        params = model.SystemParams(
-            g=sys_r.get_float("g_ueV"),
-            kappa=sys_r.get_float("kappa_ueV"),
-            gamma=sys_r.get_float("gamma_ueV"),
-            gamma_dp=sys_r.get_float("gamma_dp_ueV", 0.0),
-            omega_qd=None if math.isnan(omega_qd) else omega_qd,
-        )
+        params = model.SystemParams(**{k: v.pop(k) for k in (
+            "g", "kappa", "gamma", "gamma_dp", "omega_qd")})
     except ValueError as exc:
         raise ConfigError(f"{path}: [system] {exc}") from None
-
-    sweep_r = reader("sweep")
-    deltas: list[float] = []
-    if sweep_r.has("deltas_ueV"):
-        raw = sweep_r.get_str("deltas_ueV")
-        try:
-            deltas = [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            sweep_r.error("deltas_ueV", "deltas_ueV must be numbers")
-    elif sweep_r.has("delta_min_ueV") or sweep_r.has("delta_max_ueV"):
-        lo = sweep_r.get_float("delta_min_ueV")
-        hi = sweep_r.get_float("delta_max_ueV")
-        step = sweep_r.get_float("delta_step_ueV")
-        if step <= 0 or hi < lo:
-            sweep_r.error("delta_step_ueV",
-                          "sweep range needs delta_max >= delta_min and a "
-                          "positive step")
-        n = int(math.floor((hi - lo) / step + 0.5)) + 1
-        deltas = [lo + k * step for k in range(n)]
-    deltas.sort()
-
-    det_r = reader("detection")
     try:
-        det = spectra.DetectionCoefficients(
-            eta_ca=det_r.get_complex("eta_ca", 1.0),
-            eta_qd=det_r.get_complex("eta_qd", 0.0),
-            background_fraction=det_r.get_float("background_fraction", 0.0),
-        )
+        det = spectra.DetectionCoefficients(**{k: v.pop(k) for k in (
+            "eta_ca", "eta_qd", "background_fraction")})
     except ValueError as exc:
         raise ConfigError(f"{path}: [detection] {exc}") from None
 
-    spec_r = reader("spectra")
-    inst_r = reader("instrument")
-    decay_r = reader("decay")
-    fit_r = reader("fit")
-    synth_r = reader("synthesize")
-    out_r = reader("output")
+    deltas = v.pop("deltas")
+    lo, hi, step = v.pop("delta_min"), v.pop("delta_max"), v.pop("delta_step")
+    if deltas is None:
+        deltas = []
+        if lo is not None or hi is not None:
+            for key, value in (("delta_min_ueV", lo), ("delta_max_ueV", hi),
+                               ("delta_step_ueV", step)):
+                if value is None:
+                    fail("sweep", key, "is required by a sweep range")
+            if hi < lo:
+                fail("sweep", "delta_max_ueV", "must be >= delta_min_ueV")
+            n = int(math.floor((hi - lo) / step + 0.5)) + 1
+            deltas = [lo + k * step for k in range(n)]
+    deltas.sort()
+
+    spectral_q = v.pop("spectrometer_q")
+    if spectral_q is not None and v["spectral_irf_fwhm"] is None:
+        if v["wavelength_nm"] is None:
+            fail("instrument", "spectrometer_q",
+                 "needs [system] wavelength_nm")
+        v["spectral_irf_fwhm"] = instrument.irf_fwhm_from_q(
+            v["wavelength_nm"], spectral_q)
 
     cfg_dir = os.path.dirname(os.path.abspath(path))
+    for key in ("spectral_irf_file", "temporal_irf_file"):
+        if v[key] is not None:
+            v[key] = os.path.join(cfg_dir, v[key])
+            if not os.path.isfile(v[key]):
+                fail("instrument", key,
+                     f"names a file that does not exist: {v[key]}")
 
-    def resolve_file(rdr, key):
-        name = rdr.get_str(key)
-        if name is None:
-            return None
-        full = name if os.path.isabs(name) else os.path.join(cfg_dir, name)
-        if not os.path.exists(full):
-            rdr.error(key, f"referenced file does not exist: {full}")
-        return full
+    if v["spectral_irf_file"] is None and v["spectral_irf_fwhm"] is None:
+        for section, key, name, *_ in _SCHEMA:
+            if name in ("convolve_irf", "fit_convolve_irf",
+                        "fit_deconvolve") and v[name]:
+                fail(section, key, "needs a spectral IRF in [instrument]")
 
-    spectral_q = inst_r.get_float("spectrometer_q", math.nan)
-    spectral_fwhm = inst_r.get_float("spectral_irf_fwhm_ueV", math.nan)
-    wavelength = sys_r.get_float("wavelength_nm", math.nan)
-    if not math.isnan(spectral_q) and math.isnan(spectral_fwhm):
-        if math.isnan(wavelength):
-            inst_r.error("spectrometer_q",
-                         "spectrometer_q needs [system] wavelength_nm")
-        spectral_fwhm = instrument.irf_fwhm_from_q(wavelength, spectral_q)
-
-    seed = out_r.get_int("seed", None)
-
-    cfg = ExperimentConfig(
-        path=path,
-        params=params,
-        deltas=deltas,
-        det=det,
-        wavelength_nm=None if math.isnan(wavelength) else wavelength,
-        grid_span=spec_r.get_float("grid_span_ueV", math.nan),
-        grid_points=spec_r.get_int("grid_points", 4096),
-        convolve_irf=spec_r.get_bool("convolve_irf", False),
-        spectral_irf_file=resolve_file(inst_r, "spectral_irf_file"),
-        spectral_irf_fwhm=None if math.isnan(spectral_fwhm) else spectral_fwhm,
-        temporal_irf_file=resolve_file(inst_r, "temporal_irf_file"),
-        temporal_irf_fwhm=inst_r.get_float("temporal_irf_fwhm_ns", math.nan),
-        decay_delta=decay_r.get_float("delta_ueV", 0.0),
-        decay_t_max=decay_r.get_float("t_max_ns", math.nan),
-        decay_dt=decay_r.get_float("dt_ns", math.nan),
-        decay_t_lead=decay_r.get_float("t_lead_ns", math.nan),
-        decay_mode=fit_r.get_choice("decay_mode",
-                                    {"single", "bi", "multi"}, "multi"),
-        coupling_mode=fit_r.get_choice("coupling_mode",
-                                       {"adiabatic", "full"}, "adiabatic"),
-        init_g=fit_r.get_float("init_g_ueV", math.nan),
-        fit_convolve_irf=fit_r.get_bool("convolve_spectral_irf", False),
-        fit_deconvolve=fit_r.get_bool("deconvolve", False),
-        band_limit=fit_r.get_float("band_limit", math.nan),
-        peak_counts=synth_r.get_float("peak_counts", 10000.0),
-        noise=synth_r.get_bool("noise", True),
-        out_dir=out_r.get_str("out_dir", "."),
-        seed=seed,
-    )
-    for attr in ("grid_span", "temporal_irf_fwhm", "decay_t_max", "decay_dt",
-                 "decay_t_lead", "init_g", "band_limit"):
-        if isinstance(getattr(cfg, attr), float) and math.isnan(getattr(cfg, attr)):
-            setattr(cfg, attr, None)
-    if cfg.grid_points < 16:
-        spec_r.error("grid_points", "grid_points must be at least 16")
-    if cfg.peak_counts <= 0:
-        synth_r.error("peak_counts", "peak_counts must be positive")
-    return cfg
+    return ExperimentConfig(path=path, params=params, deltas=deltas, det=det,
+                            **v)
 
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
@@ -482,30 +426,25 @@ def _forward_point(cfg: ExperimentConfig, delta: float) -> tuple:
     """Closed-form mean decay rate and spectrum at one detuning.
 
     The spectrum is convolved with the spectral IRF when ``[spectra]
-    convolve_irf`` is set and an IRF is configured.
+    convolve_irf`` is set (the config then has one).
     """
     params = cfg.params.with_(delta=delta)
     grid = cfg.spectrum_grid()
     spec = spectra.emission_spectrum(params, cfg.det, grid)
     if cfg.convolve_irf:
-        irf = cfg.spectral_irf(float(grid[1] - grid[0]))
-        if irf is not None:
-            sig = instrument.SampledSignal(grid, spec.intensity, "spectral")
-            spec.intensity = instrument.convolve(sig, irf).values
+        irf = cfg.irf("spectral", float(grid[1] - grid[0]))
+        sig = instrument.SampledSignal(grid, spec.intensity, "spectral")
+        spec.intensity = instrument.convolve(sig, irf).values
     return model.mean_decay_rate(params), spec
 
 
-def cmd_simulate_sweep(args) -> int:
+def cmd_simulate_sweep(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Mean decay rates, spectra and splittings over a detuning sweep."""
     log = _log("simulate-sweep")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if not cfg.deltas:
+    deltas = cfg.deltas
+    if not deltas:
         raise ConfigError(f"{cfg.path}: [sweep] must define detunings")
-    log.info("sweeping %d detuning points", len(cfg.deltas))
-
-    deltas = sorted(cfg.deltas)
+    log.info("sweeping %d detuning points", len(deltas))
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_forward_point, [cfg] * len(deltas), deltas))
@@ -536,12 +475,9 @@ def cmd_simulate_sweep(args) -> int:
 # fit-spectra
 
 
-def cmd_fit_spectra(args) -> int:
+def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Deconvolve (optionally) and pair-fit measured or synthetic spectra."""
     log = _log("fit-spectra")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     wavelength = cfg.wavelength_nm
     if wavelength is None and cfg.params.omega_qd:
         wavelength = HC_UEV_NM / cfg.params.omega_qd
@@ -557,11 +493,8 @@ def cmd_fit_spectra(args) -> int:
             detuning = float(meta.get("detuning_ueV", "nan"))
             sig = instrument.SampledSignal(spec.omega, spec.intensity,
                                            "spectral")
-            irf = cfg.spectral_irf(sig.step)
+            irf = cfg.irf("spectral", sig.step)
             if cfg.fit_deconvolve:
-                if irf is None:
-                    raise ConfigError(f"{cfg.path}: [fit] deconvolve=true "
-                                      "needs a spectral IRF")
                 sig = instrument.deconvolve(sig, irf, cfg.band_limit)
             fit_irf = irf if (cfg.fit_convolve_irf and not cfg.fit_deconvolve) \
                 else None
@@ -622,17 +555,14 @@ def cmd_fit_spectra(args) -> int:
 # fit-decay
 
 
-def cmd_fit_decay(args) -> int:
+def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Fit IRF-convolved multiexponentials to decay curves."""
     log = _log("fit-decay")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     failures = 0
     for path in args.files:
         try:
             curve, _ = instrument.read_signal(path, domain="temporal")
-            irf = cfg.temporal_irf(curve.step)
+            irf = cfg.irf("temporal", curve.step)
             fit = inference.fit_decay(curve, irf=irf, mode=cfg.decay_mode)
             base = os.path.splitext(os.path.basename(path))[0]
             _atomic_write(os.path.join(out_dir, base + "_fit.txt"),
@@ -651,12 +581,9 @@ def cmd_fit_decay(args) -> int:
 # compare-g
 
 
-def cmd_compare_g(args) -> int:
+def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Extract g spectrally and dynamically, then compare the two."""
     log = _log("compare-g")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     p = cfg.params
     report: dict = {"format": "cqed-lab compare-g v1",
                     "strong_coupling_threshold_ueV":
@@ -700,7 +627,7 @@ def cmd_compare_g(args) -> int:
     if args.decay:
         try:
             curve, _ = instrument.read_signal(args.decay, domain="temporal")
-            irf = cfg.temporal_irf(curve.step)
+            irf = cfg.irf("temporal", curve.step)
             fit = inference.fit_decay(curve, irf=irf, mode=cfg.decay_mode)
             fast = fit.estimates["rate_1"]
             inv_params = p.with_(delta=cfg.decay_delta)
@@ -750,23 +677,18 @@ def cmd_compare_g(args) -> int:
 # deconvolve
 
 
-def cmd_deconvolve(args) -> int:
+def cmd_deconvolve(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Fourier-deconvolve signal files with the configured spectral IRF."""
     log = _log("deconvolve")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     failures = 0
-    band = args.band_limit if args.band_limit is not None else cfg.band_limit
     for path in args.files:
         try:
             sig, meta = instrument.read_signal(path)
-            irf = (cfg.spectral_irf(sig.step) if sig.domain == "spectral"
-                   else cfg.temporal_irf(sig.step))
+            irf = cfg.irf(sig.domain, sig.step)
             if irf is None:
                 raise ConfigError(f"{cfg.path}: no IRF configured for "
                                   f"{sig.domain} signals")
-            out = instrument.deconvolve(sig, irf, band)
+            out = instrument.deconvolve(sig, irf, cfg.band_limit)
             base = os.path.splitext(os.path.basename(path))[0]
             meta.pop("domain", None)
             instrument.write_signal(out, os.path.join(
@@ -794,7 +716,7 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     params = cfg.params.with_(delta=cfg.decay_delta)
     t_max = cfg.decay_t_max or model.default_horizon(params)
     dt = cfg.decay_dt or max(t_max / 8192.0, 2e-3)
-    irf = cfg.temporal_irf(dt)
+    irf = cfg.irf("temporal", dt)
     fwhm = cfg.temporal_irf_fwhm or 0.0
     t_lead = cfg.decay_t_lead or max(6.0 * fwhm, 20.0 * dt)
     n_lead = int(math.ceil(t_lead / dt))
@@ -821,15 +743,12 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     return grid, counts, truth
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Generate noisy forward-model data files plus ground-truth sidecars."""
     log = _log("synthesize")
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     seed = _resolve_seed(args, cfg)
 
-    for idx, delta in enumerate(sorted(cfg.deltas)):
+    for idx, delta in enumerate(cfg.deltas):
         rng = np.random.default_rng((seed, 1, idx))
         rate, spec = _forward_point(cfg, delta)
         spec.intensity, scale = _counts(cfg, spec.intensity, rng)
@@ -915,8 +834,6 @@ def main(argv=None) -> int:
 
     sub = subs.add_parser("deconvolve", help="Fourier-deconvolve data files")
     _add_common(sub, with_files=True)
-    sub.add_argument("--band-limit", type=float, default=None,
-                     help="low-pass band in cycles per grid unit")
     sub.set_defaults(func=cmd_deconvolve)
 
     sub = subs.add_parser("synthesize",
@@ -929,7 +846,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="[%(name)s] %(message)s",
                         level=logging.ERROR if args.quiet else logging.INFO)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        out_dir = args.out or cfg.out_dir
+        os.makedirs(out_dir, exist_ok=True)
+        return args.func(args, cfg, out_dir)
     except CqedError as exc:
         _log(args.command).error("%s", exc)
         return 2

@@ -189,10 +189,12 @@ def resolvent_transform(matrix: np.ndarray, v0: np.ndarray,
     return np.vstack([r0, r1])
 
 
-def default_grid(params: SystemParams, n: int = 4096) -> np.ndarray:
-    """Uniform offset grid spanning +-20x the largest linewidth scale."""
+def default_grid(params: SystemParams, n: int = 4096,
+                 reach: float = 0.0) -> np.ndarray:
+    """Uniform offset grid spanning +-20x the largest linewidth scale, widened
+    by ``reach`` (ueV), e.g. the largest |detuning| of a sweep."""
     span = 20.0 * max(params.kappa, params.gamma + 2.0 * params.gamma_dp,
-                      2.0 * params.g)
+                      2.0 * params.g) + reach
     return np.linspace(-span, span, n)
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -59,7 +60,7 @@ def test_synthesize_then_fit_spectra_verdict(tmp_path, system):
 
 def test_cli_import_leaves_out_stats_and_signal(tmp_path):
     # a fresh interpreter: importing the CLI, and running the subcommands
-    # that fit nothing, must not load any scipy module
+    # that fit nothing, must not load any scipy module nor configparser
     config = tmp_path / "mp.ini"
     write_config(config, "mp")
     code = textwrap.dedent("""
@@ -67,8 +68,8 @@ def test_cli_import_leaves_out_stats_and_signal(tmp_path):
         import cqed_lab.cli as cli
 
         def loaded():
-            return sorted(m for m in sys.modules
-                          if m == "scipy" or m.startswith("scipy."))
+            return sorted(m for m in sys.modules if m == "configparser"
+                          or m == "scipy" or m.startswith("scipy."))
 
         config, root = sys.argv[1], sys.argv[2]
         print(loaded())
@@ -142,3 +143,178 @@ def test_compare_g_on_synthesized_micropillar(tmp_path):
     assert result["spectral"]["available"]
     assert result["dynamical"]["available"]
     assert result["dynamical"]["inversion_mode"] == "full"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_fit_decay_matches_compare_g_fast_rate(tmp_path, system):
+    config = tmp_path / f"{system}.ini"
+    write_config(config, system)
+    data, fits, report = tmp_path / "data", tmp_path / "fits", tmp_path / "cmp"
+    decay = str(data / "decay.txt")
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--seed", "5", "--quiet"]) == 0
+    assert cli.main(["fit-decay", "--config", str(config), "--out",
+                     str(fits), "--quiet", decay]) == 0
+    assert (fits / "decay_fit.txt").read_text().startswith("converged = True")
+    fit = json.loads((fits / "decay_fit.json").read_text())
+    assert fit["converged"] is True
+    assert cli.main(["compare-g", "--config", str(config), "--out",
+                     str(report), "--quiet", "--decay", decay]) == 0
+    dynamical = json.loads((report / "compare_g.json").read_text())["dynamical"]
+    assert fit["estimates"]["rate_1"] == dynamical["fast_rate_per_ns"]
+    # a missing input fails the run but not the fits of the other inputs
+    again = tmp_path / "again"
+    assert cli.main(["fit-decay", "--config", str(config), "--out",
+                     str(again), "--quiet", str(tmp_path / "absent.txt"),
+                     decay]) == 1
+    assert json.loads((again / "decay_fit.json").read_text()) == fit
+
+
+VALID = """\
+[system]
+g_ueV = 22.6
+kappa_ueV = 110.0
+gamma_ueV = 1.3
+gamma_dp_ueV = 6.3
+wavelength_nm = 930.0
+
+[sweep]
+deltas_ueV = -50, 0, 50
+
+[spectra]
+grid_span_ueV = 1500
+grid_points = 1501
+convolve_irf = true
+
+[instrument]
+spectrometer_q = 40000.0
+temporal_irf_fwhm_ns = 0.05
+
+[decay]
+delta_ueV = 0
+t_max_ns = 2.0
+
+[fit]
+decay_mode = multi
+
+[synthesize]
+peak_counts = 10000.0
+noise = true
+"""
+
+
+def assert_config_error(tmp_path, caplog, text, marker,
+                        command="synthesize"):
+    """``command`` exits 2, writes nothing, and logs one error that starts
+    with ``path:line:`` of the line ``marker`` (``path:`` if it is None)."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    if marker is None:
+        prefix = f"{path}: "
+    else:
+        lineno = text.splitlines().index(marker) + 1
+        prefix = f"{path}:{lineno}: "
+    assert errors[0].startswith(prefix), errors[0]
+    assert not out.exists()
+
+
+def test_valid_config_synthesizes(tmp_path):
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    assert cli.main(["synthesize", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("old,new,marker", [
+    ("", "[ ]\n", "[ ]"),
+    ("", "[bogus]\nx = 1\n", "[bogus]"),
+    ("[spectra]\n", "[spectra]\nspan = 3\n", "span = 3"),
+    ("wavelength_nm = 930.0\n", "wavelength_nm = 930.0\ng_ueV = 30\n",
+     "g_ueV = 30"),
+    ("[system]\n", "g_ueV = 1\n[system]\n", "g_ueV = 1"),
+    ("[decay]\n", "[decay]\nt_max_ns 2\n", "t_max_ns 2"),
+    ("kappa_ueV = 110.0", "kappa_ueV = fast", "kappa_ueV = fast"),
+    ("deltas_ueV = -50, 0, 50", "deltas_ueV = -50, zero",
+     "deltas_ueV = -50, zero"),
+    ("noise = true", "noise = maybe", "noise = maybe"),
+    ("decay_mode = multi", "decay_mode = quad", "decay_mode = quad"),
+    ("grid_points = 1501", "grid_points = 8", "grid_points = 8"),
+    ("kappa_ueV = 110.0\n", "", None),
+    ("[system]\ng_ueV = 22.6\nkappa_ueV = 110.0\ngamma_ueV = 1.3\n"
+     "gamma_dp_ueV = 6.3\nwavelength_nm = 930.0\n", "", None),
+    ("[instrument]\n", "[instrument]\nspectral_irf_file = absent.txt\n",
+     "spectral_irf_file = absent.txt"),
+    ("wavelength_nm = 930.0\n", "", "spectrometer_q = 40000.0"),
+    ("deltas_ueV = -50, 0, 50",
+     "delta_min_ueV = -50\ndelta_max_ueV = 50", None),
+], ids=["empty-section", "unknown-section", "unknown-key", "duplicate-key",
+        "key-outside-section", "not-key-value", "bad-number", "bad-list",
+        "bad-boolean", "bad-choice", "small-grid", "missing-key",
+        "missing-system", "missing-irf-file", "q-without-wavelength",
+        "range-without-step"])
+def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
+    text = VALID + new if not old else VALID.replace(old, new, 1)
+    assert text != VALID
+    assert_config_error(tmp_path, caplog, text, marker)
+
+
+def test_range_sweep_loads_benchmark_detunings(tmp_path):
+    path = tmp_path / "pc.ini"
+    path.write_text(VALID.replace(
+        "deltas_ueV = -50, 0, 50",
+        "delta_min_ueV = -600.0\ndelta_max_ueV = 600.0\n"
+        "delta_step_ueV = 50.0"))
+    assert cli.load_config(str(path)).deltas == [-600.0 + 50.0 * k
+                                                  for k in range(25)]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("peak_counts = 10000.0", "peak_counts = nan"),
+    ("grid_span_ueV = 1500", "grid_span_ueV = inf"),
+    ("t_max_ns = 2.0", "t_max_ns = -2"),
+    ("spectrometer_q = 40000.0", "spectrometer_q = -4"),
+    ("grid_span_ueV = 1500", "grid_span_ueV = nan"),
+    ("temporal_irf_fwhm_ns = 0.05", "temporal_irf_fwhm_ns = nan"),
+    ("t_max_ns = 2.0", "dt_ns = 0"),
+    ("delta_ueV = 0", "delta_ueV = -inf"),
+    ("kappa_ueV = 110.0", "kappa_ueV = nan"),
+    ("[detection]", "[detection]\neta_qd = nanj"),
+    ("[output]", "[output]\nseed = -1"),
+])
+def test_non_finite_and_out_of_range_values_are_rejected(tmp_path, caplog,
+                                                         old, new):
+    text = VALID.replace(old, new) if old in VALID else VALID + new + "\n"
+    assert_config_error(tmp_path, caplog, text, new.splitlines()[-1])
+
+
+@pytest.mark.parametrize("section,key", [
+    ("system", "wavelength_nm"), ("system", "omega_qd_ueV"),
+    ("sweep", "delta_step_ueV"), ("spectra", "grid_span_ueV"),
+    ("instrument", "spectral_irf_fwhm_ueV"), ("instrument", "spectrometer_q"),
+    ("instrument", "temporal_irf_fwhm_ns"), ("decay", "t_max_ns"),
+    ("decay", "dt_ns"), ("decay", "t_lead_ns"), ("fit", "init_g_ueV"),
+    ("fit", "band_limit"), ("synthesize", "peak_counts")])
+def test_positive_keys_reject_zero(tmp_path, caplog, section, key):
+    lines = [line for line in VALID.splitlines()
+             if not line.startswith(key + " ")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = 0")
+    assert_config_error(tmp_path, caplog, "\n".join(lines) + "\n",
+                        f"{key} = 0")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("spectra", "convolve_irf"), ("fit", "convolve_spectral_irf"),
+    ("fit", "deconvolve")])
+def test_spectral_convolution_without_irf_is_rejected(tmp_path, caplog,
+                                                      section, key):
+    text = (VALID.replace("spectrometer_q = 40000.0\n", "")
+            .replace("convolve_irf = true\n", "")
+            .replace(f"[{section}]\n", f"[{section}]\n{key} = true\n"))
+    assert_config_error(tmp_path, caplog, text, f"{key} = true",
+                        command="simulate-sweep")
