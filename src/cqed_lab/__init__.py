@@ -27,7 +27,7 @@ from .spectra import (CorrelationKernel, DetectionCoefficients, Spectrum,
                       background_fraction, correlation_kernel, default_grid,
                       emission_spectrum, rabi_splitting, read_spectrum,
                       resolvent_transform, write_spectrum)
-from .units import (HBAR_UEV_NS, HC_UEV_NM, RateValue, energy_to_rate,
-                    rate_to_energy, wavelength_to_energy)
+from .units import (HBAR_UEV_NS, HC_UEV_NM, energy_to_rate, rate_to_energy,
+                    wavelength_to_energy)
 
 __version__ = "0.1.0"

@@ -259,6 +259,12 @@ def load_config(path: str) -> ExperimentConfig:
 
     deltas = v.pop("deltas")
     lo, hi, step = v.pop("delta_min"), v.pop("delta_max"), v.pop("delta_step")
+    sweep = sections.get("sweep", {})
+    ranged = [k for k in ("delta_min_ueV", "delta_max_ueV", "delta_step_ueV")
+              if k in sweep]
+    if deltas is not None and ranged:
+        fail("sweep", min(ranged, key=lambda k: sweep[k][1]),
+             "cannot be combined with deltas_ueV")
     if deltas is None:
         deltas = []
         if lo is not None or hi is not None:
@@ -299,17 +305,20 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
+    """``--seed``, else ``[output] seed``, else $CQED_LAB_SEED, else 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    if cfg.seed is not None:
+        source, text = "--seed", str(args.seed)
+    elif cfg.seed is not None:
         return cfg.seed
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{_ENV_SEED} must be an integer, got {env!r}")
-    return 0
+    else:
+        source, text = _ENV_SEED, os.environ.get(_ENV_SEED, "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source} must be an integer >= 0, got {text!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -337,66 +346,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _svg_line_plot(path: str, x, series, labels, title: str,
-                   xlabel: str, ylabel: str) -> None:
-    """Minimal SVG polyline plot; convenience output, not a tested artifact."""
-    width, height, pad = 640.0, 400.0, 56.0
-    xs = np.asarray(x, dtype=float)
-    finite = [np.asarray(s, dtype=float) for s in series]
-    allv = np.concatenate([v[np.isfinite(v)] for v in finite]) if finite else np.array([0.0])
-    if allv.size == 0:
-        allv = np.array([0.0])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(allv.min()), float(allv.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(v):
-        return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
-
-    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="15">{title}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.1f}" y="{height - 14:.1f}" '
-        f'text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-        f'font-size="12" transform="rotate(-90 16 {height / 2:.1f})">'
-        f'{ylabel}</text>',
-        f'<text x="{pad:.1f}" y="{height - pad + 16:.1f}" font-size="10" '
-        f'text-anchor="middle">{_fmt(x0)}</text>',
-        f'<text x="{width - pad:.1f}" y="{height - pad + 16:.1f}" '
-        f'font-size="10" text-anchor="middle">{_fmt(x1)}</text>',
-        f'<text x="{pad - 4:.1f}" y="{height - pad:.1f}" font-size="10" '
-        f'text-anchor="end">{_fmt(y0)}</text>',
-        f'<text x="{pad - 4:.1f}" y="{pad + 4:.1f}" font-size="10" '
-        f'text-anchor="end">{_fmt(y1)}</text>',
-    ]
-    for i, (vals, label) in enumerate(zip(finite, labels)):
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}"
-                       for xv, yv in zip(xs, vals) if math.isfinite(yv))
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{pts}"/>')
-        parts.append(f'<text x="{width - pad:.1f}" y="{pad + 14 * (i + 1):.1f}" '
-                     f'text-anchor="end" font-size="11" fill="{color}">'
-                     f'{label}</text>')
-    parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
 
 
 def _spectrum_filename(delta: float) -> str:
@@ -463,10 +412,6 @@ def cmd_simulate_sweep(args, cfg: ExperimentConfig, out_dir: str) -> int:
                                                   _spectrum_filename(delta)),
                                metadata=_system_metadata(cfg, delta))
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(rows) + "\n")
-    _svg_line_plot(os.path.join(out_dir, "sweep.svg"),
-                   deltas, [[rate for rate, _ in results]],
-                   ["mean decay rate"], "Mean decay rate vs detuning",
-                   "detuning (ueV)", "rate (1/ns)")
     log.info("wrote sweep.csv and %d spectra to %s", len(results), out_dir)
     return 0
 
@@ -540,14 +485,6 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
         failures += 1
     _write_json(os.path.join(out_dir, "verdict.json"), verdict_payload)
 
-    ok = [r for r in records if not math.isnan(r.detuning)]
-    if len(ok) >= 2:
-        _svg_line_plot(os.path.join(out_dir, "branches.svg"),
-                       [r.detuning for r in ok],
-                       [[r.energy_qd for r in ok], [r.energy_ca for r in ok]],
-                       ["emitter branch", "cavity branch"],
-                       "Fitted peak energies vs detuning",
-                       "detuning (ueV)", "peak energy (ueV)")
     return 0 if failures == 0 else 1
 
 

@@ -1,10 +1,12 @@
 """Nonlinear least-squares fitting of spectra and decay curves.
 
-Lorentzian-pair and multiexponential models carry analytic Jacobians; the
-emitter-cavity spectral model is differentiated by central finite
-differences.  All fits run damped least squares with the convergence
-contract: relative parameter change below 1e-8 or gradient norm below
-1e-10, at most 500 residual evaluations.
+Each fitter states a model, a start point and lower bounds, and hands them
+to ``_solve``, the one place the convergence contract lives: bounded
+trust-region least squares stopping at a relative parameter change below
+1e-8 or a gradient norm below 1e-10, after at most 500 residual
+evaluations.  The Lorentzian-pair and multiexponential models carry
+analytic Jacobians; the emitter-cavity spectral model is differentiated by
+central finite differences.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _finish(res, names, weights=None) -> FitResult:
+def _finish(res, names) -> FitResult:
     """Assemble a FitResult with curvature standard errors."""
     jac = res.jac
     m, p = jac.shape
@@ -230,37 +232,45 @@ def _finish(res, names, weights=None) -> FitResult:
     )
 
 
-class _IrfApplier:
-    """Applies an IRF to model columns evaluated on an extended grid."""
+def _solve(model, data: SampledSignal, p0, lower,
+           irf: IrfKernel | None = None, sigma=None, jac: bool = True):
+    """Bounded least-squares fit of ``model`` to ``data``; the raw result.
 
-    def __init__(self, grid: np.ndarray, irf: IrfKernel | None, domain: str):
-        self.n = grid.size
-        h = float(grid[1] - grid[0])
-        if irf is None:
-            self.grid_ext = grid
-            self.pad = 0
-            self._weights = None
-            return
-        sig = SampledSignal(grid=grid, values=np.zeros_like(grid), domain=domain)
-        self.k0 = _aligned_offset(sig, irf)
-        self.pad = irf.weights.size
-        left = grid[0] - h * np.arange(self.pad, 0, -1)
-        right = grid[-1] + h * np.arange(1, self.pad + 1)
-        self.grid_ext = np.concatenate([left, grid, right])
-        self._weights = irf.weights * h
+    ``model(x, p)`` returns the model values on the grid ``x`` and, when
+    ``jac`` is true, their analytic Jacobian as a pair; when ``jac`` is
+    false it returns the values alone and the Jacobian is taken by 3-point
+    central differences.  With ``irf`` the model is evaluated on the data
+    grid extended by the kernel length at both ends and convolved back onto
+    the data grid; with ``sigma`` each residual is divided by it.  Upper
+    bounds are infinite.
+    """
+    x, y = data.grid, data.values
+    xe, conv = x, (lambda v: v)
+    if irf is not None:
+        h = data.step
+        pad = irf.weights.size
+        start = pad - _aligned_offset(data, irf)
+        xe = np.concatenate([x[0] - h * np.arange(pad, 0, -1), x,
+                             x[-1] + h * np.arange(1, pad + 1)])
+        weights = irf.weights * h
 
-    def __call__(self, values_ext: np.ndarray) -> np.ndarray:
-        if self._weights is None:
-            return values_ext
-        full = np.convolve(values_ext, self._weights)
-        start = self.pad - self.k0
-        return full[start:start + self.n]
+        def conv(v):
+            if v.ndim == 2:
+                return np.column_stack([conv(col) for col in v.T])
+            return np.convolve(v, weights)[start:start + x.size]
 
-    def columns(self, mat_ext: np.ndarray) -> np.ndarray:
-        if self._weights is None:
-            return mat_ext
-        return np.column_stack([self(mat_ext[:, j])
-                                for j in range(mat_ext.shape[1])])
+    s = np.ones_like(y) if sigma is None else sigma
+
+    def residual(p):
+        return (conv(model(xe, p)[0] if jac else model(xe, p)) - y) / s
+
+    def jacobian(p):
+        return conv(model(xe, p)[1]) / s[:, None]
+
+    return least_squares(residual, p0, jac=jacobian if jac else "3-point",
+                         bounds=(lower, [np.inf] * len(p0)), method="trf",
+                         xtol=_XTOL, gtol=_GTOL, ftol=1e-14,
+                         max_nfev=_MAX_NFEV)
 
 
 def _pair_model_jac(x: np.ndarray, p: np.ndarray):
@@ -288,28 +298,13 @@ def fit_lorentzian_pair(spec: SampledSignal, init: LorentzianPairParams,
     the data.  Degenerate outcomes (merged centers, singular curvature) are
     flagged in ``messages`` rather than silently accepted.
     """
-    x, y = spec.grid, spec.values
     if not np.all(np.isfinite(list(init.centers) + list(init.fwhms)
                               + list(init.heights))):
         raise ValueError("initial parameters must be finite")
-    app = _IrfApplier(x, irf, spec.domain)
-    xe = app.grid_ext
-
-    def residual(p):
-        model, _ = _pair_model_jac(xe, p)
-        return app(model) - y
-
-    def jacobian(p):
-        _, jac = _pair_model_jac(xe, p)
-        return app.columns(jac)
-
     p0 = np.array([init.centers[0], init.fwhms[0], init.heights[0],
                    init.centers[1], init.fwhms[1], init.heights[1], 0.0])
-    lo = [-np.inf, 1e-12, 0.0, -np.inf, 1e-12, 0.0, -np.inf]
-    hi = [np.inf] * 7
-    res = least_squares(residual, p0, jac=jacobian, bounds=(lo, hi),
-                        method="trf", xtol=_XTOL, gtol=_GTOL, ftol=1e-14,
-                        max_nfev=_MAX_NFEV)
+    res = _solve(_pair_model_jac, spec, p0,
+                 [-np.inf, 1e-12, 0.0, -np.inf, 1e-12, 0.0, -np.inf], irf)
     names = ["center_1", "fwhm_1", "height_1",
              "center_2", "fwhm_2", "height_2", "baseline"]
     out = _finish(res, names)
@@ -443,36 +438,17 @@ def seed_decay(curve: SampledSignal, n_comp: int):
     return rates, amps, baseline
 
 
-def _fit_decay_order(curve, irf, n_comp, seeds=None):
-    t, y = curve.grid, curve.values
-    app = _IrfApplier(t, irf, curve.domain)
-    te = app.grid_ext
-    sigma = np.sqrt(np.maximum(y, 1.0))
+def _fit_decay_order(curve, irf, n_comp):
+    rates, amps, baseline = seed_decay(curve, n_comp)
+    p0 = [v for ra in zip(rates, amps) for v in ra] + [baseline]
+    return _solve(lambda t, p: _decay_model_jac(t, p, n_comp), curve, p0,
+                  [1e-9, 0.0] * n_comp + [-np.inf], irf,
+                  sigma=np.sqrt(np.maximum(curve.values, 1.0)))
 
-    def residual(p):
-        model, _ = _decay_model_jac(te, p, n_comp)
-        return (app(model) - y) / sigma
 
-    def jacobian(p):
-        _, jac = _decay_model_jac(te, p, n_comp)
-        return app.columns(jac) / sigma[:, None]
-
-    if seeds is None:
-        rates, amps, baseline = seed_decay(curve, n_comp)
-    else:
-        rates, amps, baseline = seeds
-    p0, lo, hi = [], [], []
-    for r, a in zip(rates, amps):
-        p0 += [r, a]
-        lo += [1e-9, 0.0]
-        hi += [np.inf, np.inf]
-    p0.append(baseline)
-    lo.append(-np.inf)
-    hi.append(np.inf)
-    res = least_squares(residual, p0, jac=jacobian, bounds=(lo, hi),
-                        method="trf", xtol=_XTOL, gtol=_GTOL, ftol=1e-14,
-                        max_nfev=_MAX_NFEV)
-    return res
+def _f_tail_2(dof: int, fstat: float) -> float:
+    """P(F > fstat) for F(2, dof): (1 + 2 fstat/dof)^(-dof/2) exactly."""
+    return math.exp(-0.5 * dof * math.log1p(2.0 * fstat / dof))
 
 
 def _order_names(n_comp):
@@ -512,36 +488,28 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
     carries one component too many: it is refit with one component fewer,
     repeatedly while the collapse persists, and flagged ``rate-collapse``.
     """
-    if mode not in ("single", "bi", "multi"):
+    orders = {"single": 1, "bi": 2, "multi": 1}
+    if mode not in orders:
         raise ValueError("mode must be 'single', 'bi', or 'multi'")
     if curve.domain != "temporal":
         raise ValueError("decay fitting needs a temporal-domain signal")
     if curve.values.min() < 0:
         raise ValueError("counts must be non-negative")
 
-    if mode == "single":
-        n_comp = 1
-        res = _fit_decay_order(curve, irf, 1)
-    elif mode == "bi":
-        n_comp = 2
-        res = _fit_decay_order(curve, irf, 2)
-    else:
-        from scipy.special import fdtrc
-        res = _fit_decay_order(curve, irf, 1)
-        n_comp = 1
-        m = curve.values.size
-        for cand in (2, 3):
-            try:
-                trial = _fit_decay_order(curve, irf, cand)
-            except FitError:
-                break
-            dof = m - (2 * cand + 1)
-            if trial.status <= 0 or dof <= 0 or trial.cost >= res.cost:
-                break
-            fstat = ((res.cost - trial.cost) / 2.0) / (trial.cost / dof)
-            if fdtrc(2, dof, fstat) >= 0.05:
-                break
-            res, n_comp = trial, cand
+    n_comp = orders[mode]
+    res = _fit_decay_order(curve, irf, n_comp)
+    for cand in (2, 3) if mode == "multi" else ():
+        try:
+            trial = _fit_decay_order(curve, irf, cand)
+        except FitError:
+            break
+        dof = curve.values.size - (2 * cand + 1)
+        if trial.status <= 0 or dof <= 0 or trial.cost >= res.cost:
+            break
+        fstat = ((res.cost - trial.cost) / 2.0) / (trial.cost / dof)
+        if _f_tail_2(dof, fstat) >= 0.05:
+            break
+        res, n_comp = trial, cand
 
     collapsed = False
     while n_comp > 1 and _collapsed(res, n_comp):
@@ -589,23 +557,17 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
     det = DetectionCoefficients(eta_ca=1.0, eta_qd=0.0,
                                 background_fraction=background_fraction)
 
-    def forward(p):
+    def forward(x, p):
         g, amp, offset = p
         params = SystemParams(g=g, kappa=fixed["kappa"], gamma=fixed["gamma"],
                               gamma_dp=fixed["gamma_dp"], delta=fixed["delta"])
         return amp * _detected_intensity(params, det, x - offset)
 
-    def residual(p):
-        return forward(p) - y
-
-    model0 = forward([init_g, 1.0, 0.0])
+    model0 = forward(x, [init_g, 1.0, 0.0])
     peak0 = float(np.abs(model0).max()) or 1.0
     amp0 = float(np.abs(y).max()) / peak0
     p0 = [init_g, amp0, 0.0]
-    res = least_squares(residual, p0, jac="3-point",
-                        bounds=([0.0, 0.0, -np.inf], [np.inf] * 3),
-                        method="trf", xtol=_XTOL, gtol=_GTOL, ftol=1e-14,
-                        max_nfev=_MAX_NFEV)
+    res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf], jac=False)
     out = _finish(res, ["g", "amplitude", "center_offset"])
     if not out.converged:
         raise FitError("coupling-strength fit did not converge")

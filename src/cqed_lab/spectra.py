@@ -86,15 +86,6 @@ class Spectrum:
         if d.size and (d.min() <= 0 or np.ptp(d) > 1e-6 * abs(d.mean())):
             raise GridError("frequency grid must be uniform and increasing")
 
-    def to_absolute(self) -> "Spectrum":
-        """Shift the grid to absolute energies using omega_qd."""
-        if self.frame == "absolute":
-            return self
-        if self.omega_qd is None:
-            raise ValueError("omega_qd required to produce an absolute frame")
-        return Spectrum(self.omega + self.omega_qd, self.intensity.copy(),
-                        frame="absolute", omega_qd=self.omega_qd)
-
 
 @dataclass
 class CorrelationKernel:

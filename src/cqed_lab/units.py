@@ -8,8 +8,6 @@ dividing ueV values by HBAR_UEV_NS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 HBAR_UEV_NS = 0.6582119569
 """hbar in ueV*ns (exact by convention in this package)."""
 
@@ -32,23 +30,3 @@ def wavelength_to_energy(wavelength_nm: float) -> float:
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
     return HC_UEV_NM / wavelength_nm
-
-
-@dataclass(frozen=True)
-class RateValue:
-    """A rate carrying its unit tag, either 'ueV' or 'per_ns'."""
-
-    value: float
-    unit: str = "ueV"
-
-    def __post_init__(self):
-        if self.unit not in ("ueV", "per_ns"):
-            raise ValueError(f"unknown rate unit {self.unit!r}")
-
-    def as_energy(self) -> float:
-        """The rate expressed in ueV."""
-        return self.value if self.unit == "ueV" else rate_to_energy(self.value)
-
-    def as_rate(self) -> float:
-        """The rate expressed in ns^-1."""
-        return self.value if self.unit == "per_ns" else energy_to_rate(self.value)

@@ -52,6 +52,8 @@ def test_synthesize_then_fit_spectra_verdict(tmp_path, system):
     assert len(files) == 7
     assert cli.main(["fit-spectra", "--config", str(config), "--out",
                      str(fits), "--quiet", *files]) == 0
+    assert sorted(p.name for p in fits.iterdir()) == ["sweep_records.csv",
+                                                      "verdict.json"]
     verdict = json.loads((fits / "verdict.json").read_text())
     assert verdict["n_failures"] == 0
     assert verdict["n_records"] == 7
@@ -102,6 +104,8 @@ def test_simulate_sweep_rates_match_sampled_path(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()[2:]
     deltas = [float(d) for d in SYSTEMS["mp"][1].split(",")]
     assert [float(r.split(",")[0]) for r in rows] == deltas
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["sweep.csv"] + [cli._spectrum_filename(d) for d in deltas])
     base = cli.load_config(str(config)).params
     for row in rows:
         delta, rate, _ = (float(v) for v in row.split(","))
@@ -253,15 +257,34 @@ def test_valid_config_synthesizes(tmp_path):
     ("wavelength_nm = 930.0\n", "", "spectrometer_q = 40000.0"),
     ("deltas_ueV = -50, 0, 50",
      "delta_min_ueV = -50\ndelta_max_ueV = 50", None),
+    ("deltas_ueV = -50, 0, 50", "deltas_ueV = 0\ndelta_min_ueV = -100\n"
+     "delta_max_ueV = 100\ndelta_step_ueV = 50", "delta_min_ueV = -100"),
 ], ids=["empty-section", "unknown-section", "unknown-key", "duplicate-key",
         "key-outside-section", "not-key-value", "bad-number", "bad-list",
         "bad-boolean", "bad-choice", "small-grid", "missing-key",
         "missing-system", "missing-irf-file", "q-without-wavelength",
-        "range-without-step"])
+        "range-without-step", "list-and-range"])
 def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     text = VALID + new if not old else VALID.replace(old, new, 1)
     assert text != VALID
     assert_config_error(tmp_path, caplog, text, marker)
+
+
+@pytest.mark.parametrize("source", ["--seed", "CQED_LAB_SEED"])
+def test_negative_seed_exits_2(tmp_path, caplog, monkeypatch, source):
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    out = tmp_path / "out"
+    argv = ["synthesize", "--config", str(path), "--out", str(out), "--quiet"]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(source, "-1")
+    assert cli.main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(source), errors
+    assert not any(out.iterdir())
 
 
 def test_range_sweep_loads_benchmark_detunings(tmp_path):

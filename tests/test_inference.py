@@ -283,8 +283,8 @@ class TestFitDecay:
         assert "rate_2" in fit_decay(two, irf=irf, mode="multi").estimates
         order_fit = cqed_lab.inference._fit_decay_order
 
-        def capped(curve, irf, n_comp, seeds=None):
-            res = order_fit(curve, irf, n_comp, seeds)
+        def capped(curve, irf, n_comp):
+            res = order_fit(curve, irf, n_comp)
             if n_comp > 1:
                 res.status = 0
             return res
@@ -293,6 +293,13 @@ class TestFitDecay:
         fit = fit_decay(two, irf=irf, mode="multi")
         assert fit.converged
         assert "rate_2" not in fit.estimates
+
+    def test_f_test_tail_matches_scipy(self):
+        from scipy.special import fdtrc
+        for dof in (5, 17, 120, 1000, 4000):
+            for fstat in np.logspace(-4.0, 3.0, 36):
+                assert cqed_lab.inference._f_tail_2(dof, fstat) == \
+                    pytest.approx(fdtrc(2, dof, fstat), rel=1e-12, abs=0.0)
 
     def test_poisson_weighting_present(self):
         # biased weights would shift the baseline estimate visibly
@@ -440,3 +447,35 @@ class TestFitResultRecord:
         d = fit.to_dict()
         assert d["estimates"]["rate_1"] == fit.estimates["rate_1"]
         assert d["converged"] is True
+
+
+def test_fitters_call_the_module_level_solver(monkeypatch):
+    # the benchmark counts solver work by wrapping inference.least_squares;
+    # each fitter must reach the solver through that module global
+    x = TestFitLorentzianPair.x
+    truth = LorentzianPairParams(centers=(-80.0, 80.0), fwhms=(40.0, 40.0),
+                                 heights=(1.0, 1.0))
+    irf = gaussian_irf(30.0, np.arange(-120, 121) * (x[1] - x[0]))
+    blurred = convolve(pair_signal(x, truth), irf)
+    init = LorentzianPairParams(centers=(-70.0, 90.0), fwhms=(45.0, 45.0),
+                                heights=(0.9, 0.9))
+    curve, decay_irf, _ = make_decay([10.0, 0.5], [5.0, 2.0], t_max=25.0,
+                                     dt=0.01, rng=np.random.default_rng(17))
+    jc = TestFitJcCavitySpectrum().synth(92.4, amp=3.7)
+    fits = {
+        "pair": lambda: fit_lorentzian_pair(blurred, init, irf=irf),
+        "decay": lambda: fit_decay(curve, irf=decay_irf, mode="multi"),
+        "jc": lambda: fit_jc_cavity_spectrum(jc, PC_FIXED, init_g=60.0),
+    }
+    plain = {name: fit().to_dict() for name, fit in fits.items()}
+    solve = cqed_lab.inference.least_squares
+    for name, fit in fits.items():
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cqed_lab.inference, "least_squares", counting)
+        assert fit().to_dict() == plain[name]
+        assert calls, name

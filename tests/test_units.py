@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqed_lab import (HBAR_UEV_NS, RateValue, energy_to_rate, rate_to_energy,
+from cqed_lab import (HBAR_UEV_NS, energy_to_rate, rate_to_energy,
                       wavelength_to_energy)
 
 
@@ -16,16 +16,6 @@ def test_known_conversion():
     # 1.3 ueV corresponds to 1.975 1/ns
     assert energy_to_rate(1.3) == pytest.approx(1.3 / HBAR_UEV_NS, rel=1e-14)
     assert energy_to_rate(1.3) == pytest.approx(1.975, rel=1e-3)
-
-
-def test_rate_value_tags():
-    r = RateValue(110.0, "ueV")
-    assert r.as_energy() == 110.0
-    assert r.as_rate() == pytest.approx(110.0 / HBAR_UEV_NS)
-    r2 = RateValue(r.as_rate(), "per_ns")
-    assert r2.as_energy() == pytest.approx(110.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        RateValue(1.0, "GHz")
 
 
 def test_wavelength_conversion():
