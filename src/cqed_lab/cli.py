@@ -784,6 +784,8 @@ def main(argv=None) -> int:
                         level=logging.ERROR if args.quiet else logging.INFO)
     try:
         cfg = load_config(args.config)
+        if args.func is cmd_synthesize:
+            _resolve_seed(args, cfg)  # a bad seed leaves no output directory
         out_dir = args.out or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         return args.func(args, cfg, out_dir)

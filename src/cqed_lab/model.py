@@ -14,16 +14,14 @@ computed exactly from the eigendecomposition of the generator rather than
 by time stepping.
 
 The analysis paths need only time integrals of the state y(t) = e^(Mt) y0,
-and those follow from the constant generator M by linear solves, with
-Y(T) = int_0^T y dt:
+and those follow from the constant generator M in closed form:
 
-    int_0^inf y dt   = -M^-1 y0        Y(T)           = M^-1 (y(T) - y0)
-    int_0^inf t y dt =  M^-2 y0        int_0^T t y dt = M^-1 (T y(T) - Y(T))
+    int_0^inf y dt = -M^-1 y0          int_0^inf t y dt = M^-2 y0
 
-(:func:`decay_moments` and :meth:`Trajectory.moments`).  The solves need
-every mode of M to decay; a generator with a non-decaying mode (g = 0 and
-gamma = 0 leave the emitter population constant) raises
-:class:`TruncationError`.
+(:func:`decay_moments`); over a finite horizon they come from one matrix
+exponential (:meth:`Trajectory.moments`).  Both need every mode of M to
+decay; a generator with a non-decaying mode (g = 0 and gamma = 0 leave the
+emitter population constant) raises :class:`TruncationError`.
 """
 
 from __future__ import annotations
@@ -126,23 +124,28 @@ class Trajectory:
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact int_0^T y dt and int_0^T t y dt over the stored horizon T.
 
-        ``y`` is the real state (rho_qd, rho_ca, Re rho_po, Im rho_po); the
-        integrals follow from y(T) and the generator of ``params`` in closed
-        form (see the module docstring), with no quadrature error.  M is
-        inverted, so a nearly lossless system (kappa and gamma many orders
-        below g) loses digits in proportion to cond(M).
+        ``y`` is the real state (rho_qd, rho_ca, Re rho_po, Im rho_po).  The
+        integrals are read off one matrix exponential (Van Loan, IEEE Trans.
+        Autom. Control 23, 395 (1978)): for the block matrix
+        C = [[M, I, 0], [0, 0, I], [0, 0, 0]] of the generator M,
+        exp(C T) holds int_0^T e^(Mt) dt in its (1, 2) block and
+        int_0^T (T - t) e^(Mt) dt in its (1, 3) block.  M is not inverted,
+        so a nearly lossless system (kappa and gamma many orders below g)
+        keeps its digits, and there is no quadrature error.
 
         Raises
         ------
         TruncationError
             If the generator has a non-decaying mode.
         """
-        minv = _inverse_generator(self.params)
+        M = _decaying_generator(self.params)
         t_end = float(self.times[-1])
-        y_end = np.array([self.rho_qd[-1], self.rho_ca[-1],
-                          self.rho_po[-1].real, self.rho_po[-1].imag])
-        i0 = minv @ (y_end - _Y0)
-        return i0, minv @ (t_end * y_end - i0)
+        c = np.zeros((12, 12))
+        c[:4, :4] = M
+        c[:4, 4:8] = c[4:8, 8:] = np.eye(4)
+        blocks = _expm(c * t_end)
+        i0 = blocks[:4, 4]
+        return i0, t_end * i0 - blocks[:4, 8]
 
     def integrals(self) -> tuple[float, float, complex]:
         """Time integrals of (rho_qd, rho_ca, rho_po) over the stored horizon."""
@@ -190,15 +193,15 @@ def default_horizon(params: SystemParams) -> float:
     return 20.0 / float(decaying.min())
 
 
-def _inverse_generator(params: SystemParams) -> np.ndarray:
-    """M^-1 of the generator, ns; every mode must decay."""
+def _decaying_generator(params: SystemParams) -> np.ndarray:
+    """The generator, ns^-1, checked to have every mode decaying."""
     M = generator_matrix(params)
     slowest = float(np.linalg.eigvals(M).real.max())
     if slowest >= -_DECAY_FLOOR:
         raise TruncationError(
             f"generator has a non-decaying mode (eigenvalue real part "
             f"{slowest:.3g} ns^-1); its time integrals diverge")
-    return np.linalg.inv(M)
+    return M
 
 
 def _as_integrals(i0: np.ndarray) -> tuple[float, float, complex]:
@@ -218,7 +221,7 @@ def decay_moments(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     TruncationError
         If the generator has a non-decaying mode.
     """
-    minv = _inverse_generator(params)
+    minv = np.linalg.inv(_decaying_generator(params))
     i0 = -minv[:, 0]
     return i0, -(minv @ i0)
 
@@ -231,15 +234,35 @@ def _dense_solution(M: np.ndarray, times: np.ndarray) -> np.ndarray:
         return (v @ (np.exp(np.outer(w, times)) * c[:, None])).real
     # near-defective generator (exceptional point): step with doubled
     # matrix-exponential blocks instead
-    from scipy.linalg import expm
     n = times.size
-    step = expm(M * (times[1] - times[0]))
+    step = _expm(M * (times[1] - times[0]))
     out = _Y0[:, None].copy()
     block = step
     while out.shape[1] < n:
         out = np.hstack([out, block @ out])
         block = block @ block
     return out[:, :n]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small matrix: Taylor series after scaling and squaring.
+
+    a is halved s times until its infinity norm is at most 1/2, where 18
+    Taylor terms leave a remainder below 1e-22 of the leading one; the
+    result is squared s times.  ``propagate``'s step guard keeps
+    ||M dt|| at about 0.2 or below, so one step needs no squaring unless
+    the detuning dominates the rates.
+    """
+    norm = float(np.abs(a).sum(axis=1).max())
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    a = a / 2.0 ** s
+    term = out = np.eye(a.shape[0])
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def propagate(params: SystemParams, t_max: float | None = None,
@@ -355,9 +378,9 @@ def coupling_from_rate(target: float, params: SystemParams,
 
     ``mode="adiabatic"`` inverts the closed-form weak-coupling rate,
     g^2 = (Gamma - gamma)(gamma_tot^2 + delta^2) / (2 gamma_tot).
-    ``mode="full"`` root-finds g so the full-model mean decay rate, in
-    closed form at every step, matches the target; ``params.g`` is ignored
-    in both modes.
+    ``mode="full"`` bisects for the g whose full-model mean decay rate, in
+    closed form at every step, matches the target, to within ``rtol``
+    relative; ``params.g`` is ignored in both modes.
     """
     if mode not in ("adiabatic", "full"):
         raise ValueError("mode must be 'adiabatic' or 'full'")
@@ -373,26 +396,34 @@ def coupling_from_rate(target: float, params: SystemParams,
         gamma_ueV = target * HBAR_UEV_NS
         g_sq = (gamma_ueV - params.gamma) * (gtot ** 2 + params.delta ** 2) / (2.0 * gtot)
         return math.sqrt(g_sq)
-
-    from scipy.optimize import brentq
+    if not rtol >= 4.0 * np.finfo(float).eps:
+        raise ValueError("rtol must be at least 4 machine epsilons")
 
     def f(g):
         return mean_decay_rate(params.with_(g=g), weight=weight) - target
 
-    hi = max(coupling_from_rate(target, params, mode="adiabatic"), 1e-3)
-    lo = 0.0
-    f_hi = f(hi)
+    lo, hi = 1e-9, max(coupling_from_rate(target, params, mode="adiabatic"),
+                       1e-3)
+    f_lo, f_hi = f(lo), f(hi)
     tries = 0
     while f_hi < 0:
-        lo, hi = hi, hi * 1.6
+        lo, f_lo, hi = hi, f_hi, hi * 1.6
         f_hi = f(hi)
         tries += 1
         if tries > 30:
             raise BracketError(
                 "no g bracket: full-model rate never reaches the target")
-    if lo == 0.0:
-        return brentq(f, 1e-9, hi, rtol=rtol)
-    return brentq(f, lo, hi, rtol=rtol)
+    # bisect while f(lo) < 0 <= f(hi); the secant through the final bracket
+    # stays inside it, so within rtol of the root, and lands far closer
+    # where f is smooth
+    while hi - lo > rtol * lo:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid < 0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
 
 
 def purcell_enhancement(rate_on: float, rate_background: float) -> float:

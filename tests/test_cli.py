@@ -61,10 +61,11 @@ def test_synthesize_then_fit_spectra_verdict(tmp_path, system):
 
 
 def test_cli_import_leaves_out_stats_and_signal(tmp_path):
-    # a fresh interpreter: importing the CLI, and running the subcommands
-    # that fit nothing, must not load any scipy module nor configparser
+    # a fresh interpreter: importing the CLI and running every subcommand,
+    # the fitting ones included, must not load any scipy module nor
+    # configparser
     config = tmp_path / "mp.ini"
-    write_config(config, "mp")
+    write_config(config, "mp", "\n[fit]\ncoupling_mode = full\n")
     code = textwrap.dedent("""
         import glob, os, sys
         import cqed_lab.cli as cli
@@ -76,13 +77,24 @@ def test_cli_import_leaves_out_stats_and_signal(tmp_path):
         config, root = sys.argv[1], sys.argv[2]
         print(loaded())
         sweep, synth = os.path.join(root, "sweep"), os.path.join(root, "synth")
+        decay = os.path.join(synth, "decay.txt")
+
+        def run(command, *extra):
+            return cli.main([command, "--config", config, "--out",
+                             os.path.join(root, command), "--quiet", *extra])
+
         codes = [cli.main(["simulate-sweep", "--config", config, "--out",
                            sweep, "--quiet"]),
                  cli.main(["synthesize", "--config", config, "--out", synth,
                            "--seed", "1", "--quiet"]),
-                 cli.main(["deconvolve", "--config", config, "--out",
-                           os.path.join(root, "dec"), "--quiet",
-                           *sorted(glob.glob(os.path.join(sweep, "*.txt")))])]
+                 run("deconvolve",
+                     *sorted(glob.glob(os.path.join(sweep, "*.txt")))),
+                 run("fit-spectra", *sorted(
+                     glob.glob(os.path.join(synth, "spectrum_*ueV.txt")))),
+                 run("fit-decay", decay),
+                 run("compare-g", "--spectrum",
+                     os.path.join(synth, cli._spectrum_filename(0.0)),
+                     "--decay", decay)]
         print(codes)
         print(loaded())
     """)
@@ -92,7 +104,8 @@ def test_cli_import_leaves_out_stats_and_signal(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(config),
                           str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "[0, 0, 0]", "[]"]
+    lines = out.stdout.splitlines()  # compare-g prints its table between
+    assert [lines[0], *lines[-2:]] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
 
 
 def test_simulate_sweep_rates_match_sampled_path(tmp_path):
@@ -284,7 +297,10 @@ def test_negative_seed_exits_2(tmp_path, caplog, monkeypatch, source):
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and errors[0].startswith(source), errors
-    assert not any(out.iterdir())
+    assert not out.exists()
+    # commands that never read a seed ignore a bad one
+    argv[0] = "simulate-sweep"
+    assert cli.main(argv) == 0
 
 
 def test_range_sweep_loads_benchmark_detunings(tmp_path):

@@ -479,3 +479,88 @@ def test_fitters_call_the_module_level_solver(monkeypatch):
         monkeypatch.setattr(cqed_lab.inference, "least_squares", counting)
         assert fit().to_dict() == plain[name]
         assert calls, name
+
+
+def scipy_least_squares(*args, **kwargs):
+    """scipy's trust-region solver, called as the package calls its own."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, method="trf", **kwargs)
+
+
+def noisy_pair(irf=None):
+    x = TestFitLorentzianPair.x
+    truth = LorentzianPairParams(centers=(-60.0, 45.0), fwhms=(30.0, 80.0),
+                                 heights=(1.0, 0.6))
+    sig = pair_signal(x, truth, baseline=0.05)
+    if irf is not None:
+        sig = convolve(sig, irf)
+    noise = np.random.default_rng(5).normal(0.0, 0.01, x.size)
+    return SampledSignal(x, sig.values + noise, "spectral")
+
+
+def fit_noisy_pair(with_irf):
+    irf = None
+    if with_irf:
+        x = TestFitLorentzianPair.x
+        irf = gaussian_irf(20.0, np.arange(-120, 121) * (x[1] - x[0]))
+    spec = noisy_pair(irf)
+    return fit_lorentzian_pair(spec, seed_lorentzian_pair(spec), irf=irf)
+
+
+def fit_noisy_jc():
+    grid = TestFitJcCavitySpectrum.grid
+    line = TestFitJcCavitySpectrum().synth(92.4).values
+    noise = np.random.default_rng(8).normal(0.0, 0.005, grid.size)
+    spec = SampledSignal(grid, line / line.max() + noise, "spectral")
+    return fit_jc_cavity_spectrum(spec, PC_FIXED, init_g=60.0)
+
+
+def fit_noisy_multi():
+    curve, irf, _ = make_decay([10.0, 0.5], [5.0, 2.0], t_max=25.0, dt=0.01,
+                               rng=np.random.default_rng(17))
+    return fit_decay(curve, irf=irf, mode="multi")
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_noisy_pair(with_irf=False),
+        lambda: fit_noisy_pair(with_irf=True),
+        fit_noisy_jc,
+        fit_noisy_multi,
+    ], ids=["pair", "pair-irf", "jc", "multi"])
+    def test_estimates_match_scipy(self, monkeypatch, fit):
+        ours = fit()
+        monkeypatch.setattr(cqed_lab.inference, "least_squares",
+                            scipy_least_squares)
+        reference = fit()
+        assert ours.converged and reference.converged
+        assert list(ours.estimates) == list(reference.estimates)
+        for name, value in ours.estimates.items():
+            assert abs(value - reference.estimates[name]) \
+                <= 0.1 * reference.errors[name], name
+
+    def test_amplitude_driven_onto_zero_bound(self):
+        # the second component of a bi-exponential fit to one exponential
+        # wants a negative amplitude: it is held exactly on its bound
+        curve, irf, _ = make_decay([2.0], [5.0], baseline=0.01, t_max=15.0,
+                                   rng=np.random.default_rng(3))
+        res = cqed_lab.inference._fit_decay_order(curve, irf, 2)
+        amplitudes = res.x[1:4:2]
+        assert 0.0 in amplitudes
+        assert list(res.active_mask[1:4:2][amplitudes == 0.0]) == [-1]
+        assert res.active_mask[-1] == 0  # the baseline has no bound
+        fit = fit_decay(curve, irf=irf, mode="bi")
+        assert "rate-collapse" in fit.messages
+        assert "rate_2" not in fit.estimates
+
+    def test_evaluation_limit_sets_status_zero(self, monkeypatch):
+        spec = noisy_pair()
+        init = seed_lorentzian_pair(spec)
+        res = cqed_lab.inference.least_squares(
+            lambda p: lorentzian(spec.grid, *p) - spec.values,
+            init.centers[:1] + init.fwhms[:1] + init.heights[:1],
+            max_nfev=3)
+        assert res.status == 0 and res.nfev == 3
+        monkeypatch.setattr(cqed_lab.inference, "_MAX_NFEV", 3)
+        with pytest.raises(FitError):
+            fit_lorentzian_pair(spec, init)

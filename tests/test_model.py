@@ -8,6 +8,7 @@ from cqed_lab import (HBAR_UEV_NS, GridError, SystemParams, TruncationError,
                       default_time_step, emission_spectrum, mean_decay_rate,
                       propagate, purcell_enhancement, quality_factor,
                       rabi_oracle, weak_coupling_rate)
+from cqed_lab.model import _expm, generator_matrix
 from oracles import rk4_trajectory, simpson_integral
 
 
@@ -96,6 +97,16 @@ class TestPropagate:
         traj = propagate(params, t_max=2.0)
         t_o, y_o = rk4_trajectory(params, traj.times[-1], traj.dt / 100)
         assert np.abs(traj.rho_qd - y_o[::100, 0]).max() < 1e-8
+
+    def test_expm_matches_scipy_at_exceptional_point(self):
+        from scipy.linalg import expm
+        params = SystemParams(g=(110.0 - 1.3) / 4.0, kappa=110.0, gamma=1.3)
+        M = generator_matrix(params)
+        dt = default_time_step(params)
+        # one propagate step, and steps long enough to need squaring
+        for scale in (1.0, 10.0, 100.0):
+            assert np.abs(_expm(M * dt * scale)
+                          - expm(M * dt * scale)).max() < 1e-13
 
 
 class TestRabiOracle:
@@ -240,6 +251,16 @@ class TestClosedFormMoments:
                            (i_po.imag, traj.rho_po.imag)):
             assert value == pytest.approx(simpson_integral(row, t), rel=1e-10)
 
+    def test_nearly_lossless_integral_keeps_its_digits(self):
+        # kappa nine orders below g: int rho_qd is the lossless closed form
+        # int_0^T cos^2(g t / hbar) dt
+        g = 30.0
+        traj = propagate(SystemParams(g=g, kappa=1e-9, gamma=0.0), t_max=1.0)
+        t_end = traj.times[-1]
+        exact = t_end / 2.0 + HBAR_UEV_NS * math.sin(
+            2.0 * g * t_end / HBAR_UEV_NS) / (4.0 * g)
+        assert traj.integrals()[0] == pytest.approx(exact, rel=1e-9)
+
     def test_non_decaying_generator_raises(self):
         # g = 0 and gamma = 0: the emitter population never changes
         params = SystemParams(g=0.0, kappa=50.0, gamma=0.0)
@@ -276,6 +297,24 @@ class TestCouplingFromRate:
         rate = mean_decay_rate(propagate(params))
         g = coupling_from_rate(rate, params, mode="full")
         assert g == pytest.approx(params.g, rel=1e-5)
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(g=22.6, kappa=110.0, gamma=1.3, gamma_dp=6.3, delta=17.0),
+        SystemParams(g=92.4, kappa=195.0, gamma=0.2, gamma_dp=4.0),
+        SystemParams(g=5.0, kappa=150.0, gamma=2.0, gamma_dp=3.0,
+                     delta=-100.0),
+    ])
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-10])
+    def test_full_matches_brentq(self, params, rtol):
+        from scipy.optimize import brentq
+        target = mean_decay_rate(params)
+
+        def f(g):
+            return mean_decay_rate(params.with_(g=g)) - target
+
+        reference = brentq(f, 1e-9, 1000.0, rtol=rtol)
+        g = coupling_from_rate(target, params, mode="full", rtol=rtol)
+        assert g == pytest.approx(reference, rel=rtol)
 
     def test_pc_adiabatic_inversion_near_resonance(self, pc_cavity):
         # adiabatic inversion of the fast measured rate 18.5 1/ns at zero
