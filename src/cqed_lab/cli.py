@@ -19,13 +19,13 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inference, instrument, model, spectra
 from .errors import ConfigError, CqedError, PeakError
+from .instrument import _atomic_write
 from .units import HC_UEV_NM
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
@@ -331,19 +331,6 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -606,7 +593,8 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
             else:
                 lines.append(f"  {side}: unavailable")
     _write_json(os.path.join(out_dir, "compare_g.json"), report)
-    print("\n".join(lines))
+    if not args.quiet:
+        print("\n".join(lines))
     return 0 if failures == 0 else 1
 
 

@@ -10,7 +10,7 @@ class GridError(CqedError):
 
 
 class TruncationError(CqedError):
-    """A trajectory or signal was not propagated long enough for the request."""
+    """Dynamics that never decay, so their time integrals or horizon diverge."""
 
 
 class BracketError(CqedError):

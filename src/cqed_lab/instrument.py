@@ -9,7 +9,11 @@ keeps the division well conditioned in the presence of noise.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,8 @@ __all__ = [
 ]
 
 _DOMAINS = ("spectral", "temporal")
+# "# key = value" header lines of a column file
+_META = re.compile(r"^[ \t]*#([^=\n]*)=(.*)$", re.M)
 
 
 def _check_uniform(grid: np.ndarray, what: str, jitter: float = 1e-6) -> float:
@@ -256,36 +262,57 @@ def write_signal(sig: SampledSignal, path, metadata: dict | None = None) -> None
     _write_columns(path, lines, sig.grid, sig.values)
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` through a temporary file renamed over ``path``.
+
+    An interrupted write leaves the previous file, or none, and no
+    temporary file; never a truncated ``path``.
+    """
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".tmp-{os.getpid()}-{os.path.basename(path)}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_columns(path, header: list, xs: np.ndarray, ys: np.ndarray) -> None:
     """Write header lines, then one "x y" row per sample, both as %.12g."""
     rows = map("{:.12g} {:.12g}".format, np.asarray(xs, dtype=float).tolist(),
                np.asarray(ys, dtype=float).tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*header, *rows]) + "\n")
+    _atomic_write(path, "\n".join([*header, *rows]) + "\n")
 
 
 def _read_columns(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    meta: dict[str, str] = {}
-    xs, ys = [], []
+    """The first two columns of a text file and its "# key = value" lines."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GridError(f"{path}: malformed data line {line!r}")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-    if len(xs) < 2:
+        text = fh.read()
+    meta = {key.strip(): val.strip() for key, val in _META.findall(text)}
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(io.StringIO(text), comments="#",
+                              usecols=(0, 1), ndmin=2)
+    except ValueError:
+        # name the first data line without two numbers
+        for line in map(str.strip, text.splitlines()):
+            fields = line.split("#", 1)[0].split()
+            try:
+                if fields:
+                    float(fields[0]), float(fields[1])
+            except (IndexError, ValueError):
+                raise GridError(
+                    f"{path}: malformed data line {line!r}") from None
+        raise
+    if data.shape[0] < 2:
         raise GridError(f"{path}: fewer than two samples")
-    return np.array(xs), np.array(ys), meta
+    xs, ys = data.T.copy()
+    return xs, ys, meta
 
 
 def read_signal(path, domain: str | None = None) -> tuple[SampledSignal, dict]:

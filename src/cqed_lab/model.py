@@ -18,16 +18,15 @@ and those follow from the constant generator M in closed form:
 
     int_0^inf y dt = -M^-1 y0          int_0^inf t y dt = M^-2 y0
 
-(:func:`decay_moments`); over a finite horizon they come from one matrix
-exponential (:meth:`Trajectory.moments`).  Both need every mode of M to
-decay; a generator with a non-decaying mode (g = 0 and gamma = 0 leave the
-emitter population constant) raises :class:`TruncationError`.
+(:func:`decay_moments`).  Both need every mode of M to decay; a generator
+with a non-decaying mode (g = 0 and gamma = 0 leave the emitter population
+constant) raises :class:`TruncationError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "default_horizon",
 ]
 
-_DECAY_WEIGHTS = ("emission", "qd", "cavity")
 # Real parts of the generator's eigenvalues at or above this (ns^-1) count
 # as non-decaying modes.
 _DECAY_FLOOR = 1e-12
@@ -106,60 +104,16 @@ class SystemParams:
 
 @dataclass
 class Trajectory:
-    """Sampled single-excitation dynamics on a uniform time grid (ns).
-
-    ``params`` supplies the generator that :meth:`moments` integrates with.
-    """
+    """Sampled single-excitation dynamics on a uniform time grid (ns)."""
 
     times: np.ndarray
     rho_qd: np.ndarray
     rho_ca: np.ndarray
     rho_po: np.ndarray
-    params: SystemParams = field(repr=False, default=None)
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact int_0^T y dt and int_0^T t y dt over the stored horizon T.
-
-        ``y`` is the real state (rho_qd, rho_ca, Re rho_po, Im rho_po).  The
-        integrals are read off one matrix exponential (Van Loan, IEEE Trans.
-        Autom. Control 23, 395 (1978)): for the block matrix
-        C = [[M, I, 0], [0, 0, I], [0, 0, 0]] of the generator M,
-        exp(C T) holds int_0^T e^(Mt) dt in its (1, 2) block and
-        int_0^T (T - t) e^(Mt) dt in its (1, 3) block.  M is not inverted,
-        so a nearly lossless system (kappa and gamma many orders below g)
-        keeps its digits, and there is no quadrature error.
-
-        Raises
-        ------
-        TruncationError
-            If the generator has a non-decaying mode.
-        """
-        M = _decaying_generator(self.params)
-        t_end = float(self.times[-1])
-        c = np.zeros((12, 12))
-        c[:4, :4] = M
-        c[:4, 4:8] = c[4:8, 8:] = np.eye(4)
-        blocks = _expm(c * t_end)
-        i0 = blocks[:4, 4]
-        return i0, t_end * i0 - blocks[:4, 8]
-
-    def integrals(self) -> tuple[float, float, complex]:
-        """Time integrals of (rho_qd, rho_ca, rho_po) over the stored horizon."""
-        return _as_integrals(self.moments()[0])
-
-    def energy_balance(self) -> float:
-        """gamma*int(rho_qd) + kappa*int(rho_ca) in photon-number units.
-
-        Equals 1 for a fully decayed trajectory: every excitation leaves
-        through one of the two loss channels.
-        """
-        i_qd, i_ca, _ = self.integrals()
-        p = self.params
-        return (p.gamma * i_qd + p.kappa * i_ca) / HBAR_UEV_NS
 
 
 def generator_matrix(params: SystemParams) -> np.ndarray:
@@ -202,11 +156,6 @@ def _decaying_generator(params: SystemParams) -> np.ndarray:
             f"generator has a non-decaying mode (eigenvalue real part "
             f"{slowest:.3g} ns^-1); its time integrals diverge")
     return M
-
-
-def _as_integrals(i0: np.ndarray) -> tuple[float, float, complex]:
-    """(int rho_qd, int rho_ca, int rho_po) from an integrated real state."""
-    return float(i0[0]), float(i0[1]), complex(i0[2], i0[3])
 
 
 def decay_moments(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +249,7 @@ def propagate(params: SystemParams, t_max: float | None = None,
     times = np.arange(n + 1) * dt
     y = _dense_solution(generator_matrix(params), times)
     return Trajectory(times=times, rho_qd=y[0], rho_ca=y[1],
-                      rho_po=y[2] + 1j * y[3], params=params)
+                      rho_po=y[2] + 1j * y[3])
 
 
 def rabi_oracle(g: float, t) -> np.ndarray | float:
@@ -321,59 +270,27 @@ def weak_coupling_rate(params: SystemParams) -> float:
     return (params.gamma + enh) / HBAR_UEV_NS
 
 
-def mean_decay_rate(source: SystemParams | Trajectory,
-                    weight: str = "emission") -> float:
+def mean_decay_rate(params: SystemParams) -> float:
     """Inverse mean decay time, ns^-1.
 
     The mean decay time is the first moment <t> = int t w(t) dt / int w(t) dt
-    of the weighting signal w(t), a fixed combination c . y of the state:
-
-    - ``"emission"`` (default): total emitted photon flux
-      gamma*rho_qd + kappa*rho_ca, the arrival-time distribution of all
-      photons leaving the system;
-    - ``"qd"``: the emitter population rho_qd;
-    - ``"cavity"``: the cavity population rho_ca.
-
-    For ``SystemParams`` both integrals run to infinity and are closed
-    forms, c . (-M^-1 y0) and c . M^-2 y0 (:func:`decay_moments`).  For a
-    sampled ``Trajectory`` they run to its horizon, exactly
-    (:meth:`Trajectory.moments`), and the trajectory must have decayed.
+    of the total emitted photon flux w(t) = gamma*rho_qd + kappa*rho_ca, the
+    arrival-time distribution of all photons leaving the system.  Both
+    integrals run to infinity and are closed forms, c . (-M^-1 y0) and
+    c . M^-2 y0 with c = (gamma, kappa, 0, 0) (:func:`decay_moments`).
 
     Raises
     ------
     TruncationError
-        If the generator has a non-decaying mode, or a trajectory has not
-        decayed to rho_qd < 1e-6 at t_max.
+        If the generator has a non-decaying mode.
     """
-    if weight not in _DECAY_WEIGHTS:
-        raise ValueError(f"weight must be one of {_DECAY_WEIGHTS}")
-    if isinstance(source, Trajectory):
-        rq = source.rho_qd
-        tail = rq[-max(2, rq.size // 20):]
-        if rq[-1] >= 1e-6 or tail.max() >= 1e-4:
-            raise TruncationError(
-                "trajectory not decayed at t_max "
-                f"(rho_qd(t_max)={rq[-1]:.3g}); increase t_max")
-        p = source.params
-        i0, i1 = source.moments()
-    else:
-        p = source
-        i0, i1 = decay_moments(p)
-    if weight == "qd":
-        c = _Y0
-    elif weight == "cavity":
-        c = np.array([0.0, 1.0, 0.0, 0.0])
-    else:
-        c = np.array([p.gamma, p.kappa, 0.0, 0.0])
-    norm = float(c @ i0)
-    if norm <= 0:
-        raise TruncationError("weighting signal carries no area")
-    return norm / float(c @ i1)
+    i0, i1 = decay_moments(params)
+    c = np.array([params.gamma, params.kappa, 0.0, 0.0])
+    return float(c @ i0) / float(c @ i1)
 
 
 def coupling_from_rate(target: float, params: SystemParams,
-                       mode: str = "adiabatic", weight: str = "emission",
-                       rtol: float = 1e-6) -> float:
+                       mode: str = "adiabatic", rtol: float = 1e-6) -> float:
     """Coupling strength g (ueV) reproducing a measured decay rate (ns^-1).
 
     ``mode="adiabatic"`` inverts the closed-form weak-coupling rate,
@@ -400,7 +317,7 @@ def coupling_from_rate(target: float, params: SystemParams,
         raise ValueError("rtol must be at least 4 machine epsilons")
 
     def f(g):
-        return mean_decay_rate(params.with_(g=g), weight=weight) - target
+        return mean_decay_rate(params.with_(g=g)) - target
 
     lo, hi = 1e-9, max(coupling_from_rate(target, params, mode="adiabatic"),
                        1e-3)

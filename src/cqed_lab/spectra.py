@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridError, PeakError
 from .instrument import _read_columns, _write_columns
-from .model import SystemParams, Trajectory, _as_integrals, decay_moments
+from .model import SystemParams, decay_moments
 # bound here as well: the tracing self-test checks that wrapping leaves
 # spectra.propagate and model.propagate the same object
 from .model import propagate  # noqa: F401
@@ -101,33 +101,29 @@ class CorrelationKernel:
     v0: np.ndarray
 
 
-def correlation_kernel(params: SystemParams,
-                       trajectory: Trajectory | None = None) -> CorrelationKernel:
+def correlation_kernel(params: SystemParams) -> CorrelationKernel:
     """Build the two-time correlation generator and its initial vector.
 
     At g=0 the cavity entry evolves as exp((-kappa/2 - i*delta) tau) and the
     emitter entry as exp(-(gamma/2 + gamma_dp) tau); the off-diagonal
     coupling has magnitude g with signs matching the population dynamics.
     ``v0`` holds the time integrals to infinity in closed form
-    (:func:`cqed_lab.model.decay_moments`), or over the horizon of
-    ``trajectory`` when one is passed.
+    (:func:`cqed_lab.model.decay_moments`).
 
     Raises
     ------
     TruncationError
         If the population generator has a non-decaying mode.
     """
-    _, i_ca, i_po = _time_integrals(params, trajectory)
+    _, i_ca, i_po = _time_integrals(params)
     return CorrelationKernel(matrix=_correlation_generator(params),
                              v0=np.array([i_ca, np.conj(i_po)]))
 
 
-def _time_integrals(params: SystemParams, trajectory: Trajectory | None
-                    ) -> tuple[float, float, complex]:
-    """(int rho_qd, int rho_ca, int rho_po) dt in ns; closed form or sampled."""
-    if trajectory is not None:
-        return trajectory.integrals()
-    return _as_integrals(decay_moments(params)[0])
+def _time_integrals(params: SystemParams) -> tuple[float, float, complex]:
+    """(int rho_qd, int rho_ca, int rho_po) dt to infinity in ns, closed form."""
+    i0 = decay_moments(params)[0]
+    return float(i0[0]), float(i0[1]), complex(i0[2], i0[3])
 
 
 def _correlation_generator(params: SystemParams) -> np.ndarray:
@@ -202,8 +198,7 @@ def background_fraction(g2_zero: float) -> float:
 
 def emission_spectrum(params: SystemParams,
                       det: DetectionCoefficients | None = None,
-                      grid: np.ndarray | None = None,
-                      trajectory: Trajectory | None = None) -> Spectrum:
+                      grid: np.ndarray | None = None) -> Spectrum:
     """Detected emission spectrum for an initially excited emitter.
 
     The spectrum is assembled from the resolvent of the correlation
@@ -228,9 +223,6 @@ def emission_spectrum(params: SystemParams,
         generator: a line at hbar*Im(lam) with half-width -hbar*Re(lam),
         plus the bare cavity line (-delta, half-width kappa/2) when a
         background pedestal is present.
-    trajectory : Trajectory, optional
-        Take the time-integrated correlations over this trajectory's
-        horizon instead of the closed-form integrals to infinity.
 
     Returns
     -------
@@ -256,16 +248,15 @@ def emission_spectrum(params: SystemParams,
             f"grid [{grid[0]:g}, {grid[-1]:g}] ueV too narrow; need "
             f"[{lo_need:.6g}, {hi_need:.6g}] to reach {_GRID_HALF_WIDTHS:g} "
             "half-widths past every spectral line")
-    intensity = _detected_intensity(params, det, grid, trajectory)
+    intensity = _detected_intensity(params, det, grid)
     return Spectrum(omega=grid, intensity=intensity, frame="offset",
                     omega_qd=params.omega_qd)
 
 
 def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
-                        grid: np.ndarray,
-                        trajectory: Trajectory | None = None) -> np.ndarray:
+                        grid: np.ndarray) -> np.ndarray:
     """Intensity of :func:`emission_spectrum` on any grid, unchecked."""
-    i_qd, i_ca, i_po = _time_integrals(params, trajectory)
+    i_qd, i_ca, i_po = _time_integrals(params)
     matrix = _correlation_generator(params)
     kt = params.kappa / HBAR_UEV_NS
     gm = params.gamma / HBAR_UEV_NS

@@ -104,8 +104,7 @@ def test_cli_import_leaves_out_stats_and_signal(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(config),
                           str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    lines = out.stdout.splitlines()  # compare-g prints its table between
-    assert [lines[0], *lines[-2:]] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
 
 
 def test_simulate_sweep_rates_match_sampled_path(tmp_path):
@@ -160,6 +159,26 @@ def test_compare_g_on_synthesized_micropillar(tmp_path):
     assert result["spectral"]["available"]
     assert result["dynamical"]["available"]
     assert result["dynamical"]["inversion_mode"] == "full"
+
+
+def test_compare_g_prints_its_table_only_without_quiet(tmp_path, capsys):
+    config = tmp_path / "mp.ini"
+    write_config(config, "mp")
+    data = tmp_path / "data"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--seed", "2", "--quiet"]) == 0
+    capsys.readouterr()
+    argv = ["compare-g", "--config", str(config), "--decay",
+            str(data / "decay.txt")]
+    assert cli.main([*argv, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main([*argv, "--out", str(tmp_path / "loud")]) == 0
+    report = (tmp_path / "loud" / "compare_g.json").read_text()
+    g_dyn = json.loads(report)["dynamical"]["g_ueV"]
+    assert capsys.readouterr().out.splitlines() == [
+        "coupling-strength comparison", "  spectral: unavailable",
+        f"  dynamical: g = {g_dyn:.2f} ueV"]
+    assert (tmp_path / "quiet" / "compare_g.json").read_text() == report
 
 
 @pytest.mark.parametrize("system", sorted(SYSTEMS))

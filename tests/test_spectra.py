@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -58,8 +59,7 @@ class TestCorrelationKernel:
     def test_lossless_rabi_doublet(self):
         # dissipation-free limit: eigenvalues +-i g/hbar
         params = SystemParams(g=30.0, kappa=1e-9, gamma=0.0)
-        kern = correlation_kernel(params, trajectory=propagate(
-            params, t_max=1.0, dt=1e-4))
+        kern = correlation_kernel(params)
         eig = np.linalg.eigvals(kern.matrix)
         assert sorted(eig.imag) == pytest.approx(
             [-30.0 / HBAR_UEV_NS, 30.0 / HBAR_UEV_NS], rel=1e-6)
@@ -69,13 +69,6 @@ class TestCorrelationKernel:
         assert abs(kern.matrix[0, 1]) == pytest.approx(22.6 / HBAR_UEV_NS)
         assert abs(kern.matrix[1, 0]) == pytest.approx(22.6 / HBAR_UEV_NS)
         assert kern.matrix[0, 1] == -kern.matrix[1, 0]
-
-    def test_v0_matches_trajectory_integrals(self, micropillar):
-        traj = propagate(micropillar)
-        kern = correlation_kernel(micropillar, traj)
-        _, i_ca, i_po = traj.integrals()
-        assert kern.v0[0] == pytest.approx(i_ca, rel=1e-12)
-        assert kern.v0[1] == pytest.approx(np.conj(i_po), rel=1e-12)
 
     def test_dissipative_eigenvalues_decay(self, micropillar, pc_cavity):
         for params in (micropillar, pc_cavity):
@@ -153,9 +146,8 @@ class TestEmissionSpectrum:
     def test_cavity_channel_area_counts_photons(self, micropillar):
         params = micropillar.with_(delta=30.0)
         traj = propagate(params)
-        spec = emission_spectrum(params, grid=default_grid(params, 32768),
-                                 trajectory=traj)
-        _, i_ca, _ = traj.integrals()
+        spec = emission_spectrum(params, grid=default_grid(params, 32768))
+        i_ca = simpson_integral(traj.rho_ca, traj.times)
         photons = params.kappa / HBAR_UEV_NS * i_ca
         area = simpson_integral(spec.intensity, spec.omega)
         assert area == pytest.approx(photons, rel=0.01)
@@ -164,9 +156,8 @@ class TestEmissionSpectrum:
         params = micropillar.with_(delta=30.0)
         det = DetectionCoefficients(eta_ca=0.0, eta_qd=1.0)
         traj = propagate(params)
-        spec = emission_spectrum(params, det, default_grid(params, 32768),
-                                 trajectory=traj)
-        i_qd, _, _ = traj.integrals()
+        spec = emission_spectrum(params, det, default_grid(params, 32768))
+        i_qd = simpson_integral(traj.rho_qd, traj.times)
         photons = params.gamma / HBAR_UEV_NS * i_qd
         area = simpson_integral(spec.intensity, spec.omega)
         assert area == pytest.approx(photons, rel=0.01)
@@ -180,13 +171,10 @@ class TestEmissionSpectrum:
     def test_background_pedestal_area(self, micropillar):
         params = micropillar.with_(delta=40.0)
         grid = np.linspace(-30000.0, 30000.0, 65537)
-        traj = propagate(params)
-        base = emission_spectrum(params, DetectionCoefficients(), grid,
-                                 trajectory=traj)
+        base = emission_spectrum(params, DetectionCoefficients(), grid)
         frac = 0.208
         with_bg = emission_spectrum(
-            params, DetectionCoefficients(background_fraction=frac), grid,
-            trajectory=traj)
+            params, DetectionCoefficients(background_fraction=frac), grid)
         added = simpson_integral(with_bg.intensity - base.intensity, grid)
         coherent = simpson_integral(base.intensity, grid)
         # pedestal carries the requested fraction of the total cavity area
@@ -195,17 +183,15 @@ class TestEmissionSpectrum:
     def test_pedestal_scales_linearly(self, micropillar):
         params = micropillar.with_(delta=40.0)
         grid = np.linspace(-30000.0, 30000.0, 65537)
-        traj = propagate(params)
-        base = emission_spectrum(params, DetectionCoefficients(), grid,
-                                 trajectory=traj)
+        base = emission_spectrum(params, DetectionCoefficients(), grid)
         f1 = 0.1
         f2 = 2 * f1 / (1 + f1)  # doubles the pedestal odds f/(1-f)
         s1 = emission_spectrum(params,
                                DetectionCoefficients(background_fraction=f1),
-                               grid, trajectory=traj)
+                               grid)
         s2 = emission_spectrum(params,
                                DetectionCoefficients(background_fraction=f2),
-                               grid, trajectory=traj)
+                               grid)
         added1 = s1.intensity - base.intensity
         added2 = s2.intensity - base.intensity
         assert np.abs(added2 - 2.0 * added1).max() < 1e-12 * base.intensity.max()
@@ -333,12 +319,50 @@ class TestSerialization:
     @pytest.mark.parametrize("body, message", [
         ("# frame = offset\n0.0 1.0\n1.0\n", "malformed data line '1.0'"),
         ("# frame = offset\n0.0 1.0\n", "fewer than two samples"),
+        ("0.0 1.0\nabc 2.0\n1.0 3.0\n", "malformed data line 'abc 2.0'"),
     ])
     def test_malformed_file_rejected(self, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text(body)
         with pytest.raises(GridError, match=re.escape(f"{path}: {message}")):
             read_spectrum(path)
+
+    def test_reader_matches_per_line_parse(self, tmp_path, pc_cavity):
+        # reference: float() on the first two fields of each data line
+        path = tmp_path / "spec.txt"
+        write_spectrum(emission_spectrum(pc_cavity), path,
+                       metadata={"seed": "3"})
+        rows = [line.split() for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        spec, meta = read_spectrum(path)
+        assert spec.omega.tolist() == [float(r[0]) for r in rows]
+        assert spec.intensity.tolist() == [float(r[1]) for r in rows]
+        assert meta == {"frame": "offset", "seed": "3"}
+
+        path.write_text("# cqed-lab spectrum v1\n  # frame = offset\n\n"
+                        "-1.5 0.25 9\n# note = a = b\n0 1e-300 # tail\n"
+                        "# columns: omega_ueV intensity\n1.5 -2\n")
+        spec, meta = read_spectrum(path)
+        assert spec.omega.tolist() == [-1.5, 0.0, 1.5]
+        assert spec.intensity.tolist() == [0.25, 1e-300, -2.0]
+        assert meta == {"frame": "offset", "note": "a = b"}
+
+    def test_interrupted_rewrite_keeps_the_old_file(self, tmp_path,
+                                                    monkeypatch, pc_cavity):
+        spec = emission_spectrum(pc_cavity, grid=default_grid(pc_cavity, 512))
+        path = tmp_path / "spec.txt"
+        write_spectrum(spec, path)
+        old = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        spec.intensity = 2.0 * spec.intensity
+        with pytest.raises(OSError, match="interrupted"):
+            write_spectrum(spec, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.txt"]
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(GridError):
