@@ -3,10 +3,11 @@
 Subcommands: simulate-sweep, fit-spectra, fit-decay, compare-g, deconvolve,
 synthesize.  Configuration is plain ``key = value`` text in ``[section]``
 blocks; all energies in ueV, times in ns, wavelengths in nm (units are part
-of the key names).  Outputs are written atomically and deterministically:
-a fixed config and seed reproduce byte-identical files.  ``_SCHEMA`` is the
-reference for the config: every section and key (with its unit), what its
-value must be, and its default.
+of the key names).  Only ``synthesize`` draws random numbers; its seed is
+``--seed``, else ``[output] seed``, else 0.  Outputs are written atomically
+and deterministically: a fixed config and seed reproduce byte-identical
+files.  ``_SCHEMA`` is the reference for the config: every section and key
+(with its unit), what its value must be, and its default.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import numpy as np
 from . import inference, instrument, model, spectra
 from .errors import ConfigError, CqedError, PeakError
 from .instrument import _atomic_write
-from .units import HC_UEV_NM
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
-_ENV_SEED = "CQED_LAB_SEED"
 _log = logging.getLogger
 
 
@@ -109,7 +108,6 @@ _SCHEMA = (
     ("system", "kappa_ueV", "kappa", _number, _NUM, REQUIRED),
     ("system", "gamma_ueV", "gamma", _number, _NUM, REQUIRED),
     ("system", "gamma_dp_ueV", "gamma_dp", _number, _NUM, 0.0),
-    ("system", "omega_qd_ueV", "omega_qd", _positive, _POS, None),
     ("system", "wavelength_nm", "wavelength_nm", _positive, _POS, None),
     ("sweep", "deltas_ueV", "deltas", _numbers, "finite numbers", None),
     ("sweep", "delta_min_ueV", "delta_min", _number, _NUM, None),
@@ -142,7 +140,6 @@ _SCHEMA = (
      "one of adiabatic, full", "adiabatic"),
     ("fit", "init_g_ueV", "init_g", _positive, _POS, None),
     ("fit", "convolve_spectral_irf", "fit_convolve_irf", _bool, _BOOL, False),
-    ("fit", "deconvolve", "fit_deconvolve", _bool, _BOOL, False),
     ("fit", "band_limit", "band_limit", _positive, _POS, None),
     ("synthesize", "peak_counts", "peak_counts", _positive, _POS, 10000.0),
     ("synthesize", "noise", "noise", _bool, _BOOL, True),
@@ -180,7 +177,6 @@ class ExperimentConfig:
     coupling_mode: str
     init_g: float | None
     fit_convolve_irf: bool
-    fit_deconvolve: bool
     band_limit: float | None
     peak_counts: float
     noise: bool
@@ -248,7 +244,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     try:
         params = model.SystemParams(**{k: v.pop(k) for k in (
-            "g", "kappa", "gamma", "gamma_dp", "omega_qd")})
+            "g", "kappa", "gamma", "gamma_dp")})
     except ValueError as exc:
         raise ConfigError(f"{path}: [system] {exc}") from None
     try:
@@ -278,14 +274,6 @@ def load_config(path: str) -> ExperimentConfig:
             deltas = [lo + k * step for k in range(n)]
     deltas.sort()
 
-    spectral_q = v.pop("spectrometer_q")
-    if spectral_q is not None and v["spectral_irf_fwhm"] is None:
-        if v["wavelength_nm"] is None:
-            fail("instrument", "spectrometer_q",
-                 "needs [system] wavelength_nm")
-        v["spectral_irf_fwhm"] = instrument.irf_fwhm_from_q(
-            v["wavelength_nm"], spectral_q)
-
     cfg_dir = os.path.dirname(os.path.abspath(path))
     for key in ("spectral_irf_file", "temporal_irf_file"):
         if v[key] is not None:
@@ -294,10 +282,26 @@ def load_config(path: str) -> ExperimentConfig:
                 fail("instrument", key,
                      f"names a file that does not exist: {v[key]}")
 
+    # an IRF comes from one key: its file, its FWHM or the spectrometer Q
+    inst = sections.get("instrument", {})
+    for keys in (("spectral_irf_file", "spectral_irf_fwhm_ueV",
+                  "spectrometer_q"),
+                 ("temporal_irf_file", "temporal_irf_fwhm_ns")):
+        given = sorted((k for k in keys if k in inst), key=lambda k: inst[k][1])
+        if len(given) > 1:
+            fail("instrument", given[1], f"cannot be combined with {given[0]}")
+
+    spectral_q = v.pop("spectrometer_q")
+    if spectral_q is not None:
+        if v["wavelength_nm"] is None:
+            fail("instrument", "spectrometer_q",
+                 "needs [system] wavelength_nm")
+        v["spectral_irf_fwhm"] = instrument.irf_fwhm_from_q(
+            v["wavelength_nm"], spectral_q)
+
     if v["spectral_irf_file"] is None and v["spectral_irf_fwhm"] is None:
         for section, key, name, *_ in _SCHEMA:
-            if name in ("convolve_irf", "fit_convolve_irf",
-                        "fit_deconvolve") and v[name]:
+            if name in ("convolve_irf", "fit_convolve_irf") and v[name]:
                 fail(section, key, "needs a spectral IRF in [instrument]")
 
     return ExperimentConfig(path=path, params=params, deltas=deltas, det=det,
@@ -305,20 +309,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    """``--seed``, else ``[output] seed``, else $CQED_LAB_SEED, else 0."""
-    if getattr(args, "seed", None) is not None:
-        source, text = "--seed", str(args.seed)
-    elif cfg.seed is not None:
-        return cfg.seed
-    else:
-        source, text = _ENV_SEED, os.environ.get(_ENV_SEED, "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ConfigError(f"{source} must be an integer >= 0, got {text!r}")
-    return seed
+    """``synthesize``'s seed: ``--seed``, else ``[output] seed``, else 0."""
+    if args.seed is None:
+        return 0 if cfg.seed is None else cfg.seed
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got '{args.seed}'")
+    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +404,12 @@ def cmd_simulate_sweep(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
-    """Deconvolve (optionally) and pair-fit measured or synthetic spectra."""
+    """Pair-fit measured, synthetic or deconvolved spectra; classify them."""
     log = _log("fit-spectra")
     wavelength = cfg.wavelength_nm
-    if wavelength is None and cfg.params.omega_qd:
-        wavelength = HC_UEV_NM / cfg.params.omega_qd
     if wavelength is None:
         raise ConfigError(f"{cfg.path}: fit-spectra needs [system] "
-                          "wavelength_nm (or omega_qd_ueV) for Q factors")
+                          "wavelength_nm for Q factors")
 
     records = []
     failures = 0
@@ -425,13 +419,10 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
             detuning = float(meta.get("detuning_ueV", "nan"))
             sig = instrument.SampledSignal(spec.omega, spec.intensity,
                                            "spectral")
-            irf = cfg.irf("spectral", sig.step)
-            if cfg.fit_deconvolve:
-                sig = instrument.deconvolve(sig, irf, cfg.band_limit)
-            fit_irf = irf if (cfg.fit_convolve_irf and not cfg.fit_deconvolve) \
-                else None
+            irf = (cfg.irf("spectral", sig.step) if cfg.fit_convolve_irf
+                   else None)
             init = inference.seed_lorentzian_pair(sig)
-            fit = inference.fit_lorentzian_pair(sig, init, irf=fit_irf)
+            fit = inference.fit_lorentzian_pair(sig, init, irf=irf)
             rec = inference.extract_sweep_record(fit, wavelength,
                                                  detuning=detuning,
                                                  source=os.path.basename(path))
@@ -489,8 +480,6 @@ def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
             irf = cfg.irf("temporal", curve.step)
             fit = inference.fit_decay(curve, irf=irf, mode=cfg.decay_mode)
             base = os.path.splitext(os.path.basename(path))[0]
-            _atomic_write(os.path.join(out_dir, base + "_fit.txt"),
-                          fit.to_text())
             _write_json(os.path.join(out_dir, base + "_fit.json"),
                         fit.to_dict())
             log.info("%s: fast rate %.4g 1/ns", path,
@@ -518,10 +507,6 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     if args.spectrum:
         try:
             spec, meta = spectra.read_spectrum(args.spectrum)
-            if spec.frame == "absolute":
-                spec = spectra.Spectrum(spec.omega - (spec.omega_qd or 0.0),
-                                        spec.intensity, frame="offset",
-                                        omega_qd=spec.omega_qd)
             delta = float(meta.get("detuning_ueV", "0") or 0.0)
             bg = float(meta.get("background_fraction", "0") or 0.0)
             sig = instrument.SampledSignal(spec.omega, spec.intensity,
@@ -720,8 +705,6 @@ def _add_common(sub, with_files=False):
                      "(default: [output] out_dir)")
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes for sweep points")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (fallback: config, then ${_ENV_SEED})")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress everything but errors")
     if with_files:
@@ -765,20 +748,27 @@ def main(argv=None) -> int:
                           help="generate noisy synthetic data with truth "
                                "sidecars")
     _add_common(sub)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="RNG seed, an integer >= 0 (default: [output] "
+                          "seed, else 0)")
     sub.set_defaults(func=cmd_synthesize)
 
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="[%(name)s] %(message)s",
                         level=logging.ERROR if args.quiet else logging.INFO)
+    created = None
     try:
         cfg = load_config(args.config)
-        if args.func is cmd_synthesize:
-            _resolve_seed(args, cfg)  # a bad seed leaves no output directory
         out_dir = args.out or cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        if not os.path.isdir(out_dir):
+            os.makedirs(out_dir)
+            created = out_dir
         return args.func(args, cfg, out_dir)
     except CqedError as exc:
         _log(args.command).error("%s", exc)
+        # a run rejected before it wrote anything leaves no directory behind
+        if created and not os.listdir(created):
+            os.rmdir(created)
         return 2
 
 

@@ -65,6 +65,9 @@ _DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 # evaluations at 1e4 counts; at 3 the cavity line of a PC doublet near
 # delta = +-100 ueV falls inside the excluded band.
 _SEED_EXCLUSION_FWHMS = 2.0
+# Running-mean widths for the first seed (n) and the residual searched for
+# the second (2n + 1 samples); the exclusion above was chosen with n = 5.
+_SEED_SMOOTH = 5
 
 
 @dataclass
@@ -77,18 +80,6 @@ class FitResult:
     iterations: int
     converged: bool
     messages: tuple = ()
-
-    def to_text(self) -> str:
-        """key=value record, one line per field."""
-        lines = [f"converged = {self.converged}",
-                 f"residual_sum = {self.residual_sum:.12g}",
-                 f"iterations = {self.iterations}"]
-        for k in self.estimates:
-            lines.append(f"{k} = {self.estimates[k]:.12g}")
-            lines.append(f"{k}_stderr = {self.errors[k]:.12g}")
-        for i, msg in enumerate(self.messages):
-            lines.append(f"message_{i} = {msg}")
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         return {
@@ -448,8 +439,7 @@ def fit_lorentzian_pair(spec: SampledSignal, init: LorentzianPairParams,
     return out
 
 
-def seed_lorentzian_pair(spec: SampledSignal,
-                         smooth: int = 5) -> LorentzianPairParams:
+def seed_lorentzian_pair(spec: SampledSignal) -> LorentzianPairParams:
     """Initial pair guess by fitting one Lorentzian and peeling it off.
 
     The dominant peak is fit first; the second seed comes from the largest
@@ -461,8 +451,8 @@ def seed_lorentzian_pair(spec: SampledSignal,
     split into two overlapping seeds.
     """
     x, y = spec.grid, spec.values
-    ys = np.convolve(y, np.ones(smooth) / smooth, "same") if smooth > 1 else y
-    c1, w1, h1 = _single_peak_guess(x, ys)
+    box = np.ones(_SEED_SMOOTH) / _SEED_SMOOTH
+    c1, w1, h1 = _single_peak_guess(x, np.convolve(y, box, "same"))
 
     def line(p, jac=False):  # one Lorentzian over a baseline held at zero
         return _lorentzians(x, [*p, 0.0], jac)
@@ -470,8 +460,8 @@ def seed_lorentzian_pair(spec: SampledSignal,
     f1 = least_squares(lambda p: line(p) - y, [c1, w1, h1],
                        jac=lambda p: line(p, jac=True)[1][:, :3], max_nfev=200)
     resid = y - lorentzian(x, *f1.x)
-    resid_s = np.convolve(np.clip(resid, 0.0, None),
-                          np.ones(2 * smooth + 1) / (2 * smooth + 1), "same")
+    wide = np.ones(2 * _SEED_SMOOTH + 1) / (2 * _SEED_SMOOTH + 1)
+    resid_s = np.convolve(np.clip(resid, 0.0, None), wide, "same")
     resid_s[np.abs(x - f1.x[0]) < _SEED_EXCLUSION_FWHMS * abs(f1.x[1])] = 0.0
     c2, w2, h2 = _single_peak_guess(x, resid_s)
     if h2 < 0.005 * y.max():
@@ -724,13 +714,12 @@ def _exceeds_noise(y: np.ndarray, ssr: float, n_par: int) -> bool:
     return chi2 > 1.0 + 5.0 * math.sqrt(17.0 / (9.0 * m_eff))
 
 
-def classify_coupling(records: list[SweepRecord],
-                      threshold: float | None = None) -> CouplingClassification:
+def classify_coupling(records: list[SweepRecord]) -> CouplingClassification:
     """Label a detuning sweep as 'crossing' or 'anti_crossing'.
 
     Anti-crossing requires the minimum fitted peak separation across the
-    sweep to exceed the threshold (default: half the mean fitted cavity
-    FWHM).  Needs at least five records covering both detuning signs.
+    sweep to exceed the threshold, half the mean fitted cavity FWHM.  Needs
+    at least five records covering both detuning signs.
     """
     if len(records) < 5:
         raise ValueError("need at least five sweep records")
@@ -738,8 +727,7 @@ def classify_coupling(records: list[SweepRecord],
     if min(detunings) >= 0 or max(detunings) <= 0:
         raise ValueError("sweep must cover both detuning signs")
     min_sep = min(r.separation for r in records)
-    if threshold is None:
-        threshold = 0.5 * float(np.mean([r.fwhm_ca for r in records]))
+    threshold = 0.5 * float(np.mean([r.fwhm_ca for r in records]))
     label = "anti_crossing" if min_sep > threshold else "crossing"
     return CouplingClassification(label=label, min_separation=min_sep,
                                   threshold=threshold)

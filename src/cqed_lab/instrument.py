@@ -38,16 +38,24 @@ __all__ = [
 _DOMAINS = ("spectral", "temporal")
 # "# key = value" header lines of a column file
 _META = re.compile(r"^[ \t]*#([^=\n]*)=(.*)$", re.M)
+# Largest relative step spread of a uniform grid: 4,096-point grids read
+# back from 12-digit text stay under 1e-8; a missing sample gives 1.
+_GRID_JITTER = 1e-6
+# The default deconvolution band keeps |IRF transform| above 10% of its
+# peak, so the division stays well conditioned; a 2^14-point FFT finds the
+# band edge to within 1 / (2^14 step).
+_BAND_FLOOR = 0.1
+_BAND_N_FFT = 1 << 14
 
 
-def _check_uniform(grid: np.ndarray, what: str, jitter: float = 1e-6) -> float:
+def _check_uniform(grid: np.ndarray, what: str) -> float:
     d = np.diff(grid)
     if d.size == 0 or d.min() <= 0:
         raise GridError(f"{what}: grid must be strictly increasing")
     step = float(d.mean())
-    if np.ptp(d) > jitter * step:
+    if np.ptp(d) > _GRID_JITTER * step:
         raise GridError(f"{what}: grid not uniform (step jitter "
-                        f"{np.ptp(d) / step:.2e} exceeds {jitter:.0e})")
+                        f"{np.ptp(d) / step:.2e} exceeds {_GRID_JITTER:.0e})")
     return step
 
 
@@ -184,17 +192,17 @@ def _kernel_transform(irf: IrfKernel, n_fft: int, k0: int, h: float):
     return rfft(k)
 
 
-def irf_band_limit(irf: IrfKernel, floor: float = 0.1,
-                   n_fft: int = 1 << 14) -> float:
-    """Default deconvolution band: where |IRF transform| falls to ``floor``.
+def irf_band_limit(irf: IrfKernel) -> float:
+    """Default deconvolution band: where |IRF transform| falls to 10% of
+    its peak.
 
     Returned in cycles per grid unit (the conjugate of the kernel's grid).
     """
     h = irf.step
-    transform = np.abs(_kernel_transform(irf, n_fft, 0, h))
-    freqs = rfftfreq(n_fft, h)
+    transform = np.abs(_kernel_transform(irf, _BAND_N_FFT, 0, h))
+    freqs = rfftfreq(_BAND_N_FFT, h)
     peak = transform.max()
-    below = np.nonzero(transform < floor * peak)[0]
+    below = np.nonzero(transform < _BAND_FLOOR * peak)[0]
     if below.size == 0:
         return float(freqs[-1])
     return float(freqs[below[0]])

@@ -71,9 +71,6 @@ class SystemParams:
         Pure dephasing rate.
     delta : float
         Detuning, emitter energy minus cavity energy.
-    omega_qd : float or None
-        Absolute emitter transition energy, only needed for spectra in the
-        absolute frame.
     """
 
     g: float
@@ -81,7 +78,6 @@ class SystemParams:
     gamma: float
     gamma_dp: float = 0.0
     delta: float = 0.0
-    omega_qd: float | None = None
 
     def __post_init__(self):
         vals = [self.g, self.kappa, self.gamma, self.gamma_dp, self.delta]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PeakError
-from .instrument import _read_columns, _write_columns
+from .instrument import _check_uniform, _read_columns, _write_columns
 from .model import SystemParams, decay_moments
 # bound here as well: the tracing self-test checks that wrapping leaves
 # spectra.propagate and model.propagate the same object
@@ -44,6 +44,9 @@ __all__ = [
 # A Lorentzian line falls to 1/26 of its peak five half-widths from its
 # center, so a grid reaching that far holds every peak and its shoulders.
 _GRID_HALF_WIDTHS = 5.0
+# A maximum must stand this fraction of the global maximum above its dips;
+# shallower doublets read as one line (PC cavity, g = 74-77: dips 1.5-3.4%).
+_PROMINENCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -68,23 +71,14 @@ class DetectionCoefficients:
 
 @dataclass
 class Spectrum:
-    """Intensity samples on a uniform frequency grid (ueV).
-
-    ``frame="offset"`` means the grid is relative to the emitter energy;
-    ``frame="absolute"`` means absolute photon energies.
-    """
+    """Intensity samples on a uniform grid of offsets from the emitter
+    energy (ueV)."""
 
     omega: np.ndarray
     intensity: np.ndarray
-    frame: str = "offset"
-    omega_qd: float | None = None
 
     def __post_init__(self):
-        if self.frame not in ("offset", "absolute"):
-            raise ValueError("frame must be 'offset' or 'absolute'")
-        d = np.diff(self.omega)
-        if d.size and (d.min() <= 0 or np.ptp(d) > 1e-6 * abs(d.mean())):
-            raise GridError("frequency grid must be uniform and increasing")
+        _check_uniform(self.omega, "spectrum")
 
 
 @dataclass
@@ -224,11 +218,6 @@ def emission_spectrum(params: SystemParams,
         plus the bare cavity line (-delta, half-width kappa/2) when a
         background pedestal is present.
 
-    Returns
-    -------
-    Spectrum
-        In the offset frame (relative to the emitter energy).
-
     Raises
     ------
     GridError
@@ -249,8 +238,7 @@ def emission_spectrum(params: SystemParams,
             f"[{lo_need:.6g}, {hi_need:.6g}] to reach {_GRID_HALF_WIDTHS:g} "
             "half-widths past every spectral line")
     intensity = _detected_intensity(params, det, grid)
-    return Spectrum(omega=grid, intensity=intensity, frame="offset",
-                    omega_qd=params.omega_qd)
+    return Spectrum(omega=grid, intensity=intensity)
 
 
 def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
@@ -289,10 +277,10 @@ def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
     return intensity
 
 
-def rabi_splitting(spec: Spectrum, prominence: float = 0.05) -> float:
+def rabi_splitting(spec: Spectrum) -> float:
     """Frequency separation (ueV) of the two spectral maxima.
 
-    A maximum qualifies when it stands ``prominence`` (relative to the
+    A maximum qualifies when it stands ``_PROMINENCE`` (relative to the
     global maximum) above the dip that separates it from every other
     qualifying maximum and from the grid edge; the two positions are
     refined by local quadratic interpolation.
@@ -303,7 +291,7 @@ def rabi_splitting(spec: Spectrum, prominence: float = 0.05) -> float:
         If the spectrum does not show exactly two qualifying maxima.
     """
     y = spec.intensity
-    depth = prominence * float(y.max())
+    depth = _PROMINENCE * float(y.max())
     # equal heights do not end the search for a base, so tied maxima both
     # clear the base rule; neighbours are also told apart by their dip
     idx = []
@@ -354,9 +342,7 @@ def _prominent_maxima(y: np.ndarray, depth: float) -> list:
 
 def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
     """Write a spectrum to two-column text with '#' header lines."""
-    lines = ["# cqed-lab spectrum v1", f"# frame = {spec.frame}"]
-    if spec.omega_qd is not None:
-        lines.append(f"# omega_qd_ueV = {spec.omega_qd:.12g}")
+    lines = ["# cqed-lab spectrum v1", "# frame = offset"]
     for key in sorted(metadata or {}):
         lines.append(f"# {key} = {metadata[key]}")
     lines.append("# columns: omega_ueV intensity")
@@ -364,9 +350,10 @@ def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
 
 
 def read_spectrum(path) -> tuple[Spectrum, dict]:
-    """Read a spectrum file; returns the spectrum and its header metadata."""
+    """Read an offset-frame spectrum file; returns it and its metadata."""
     xs, ys, meta = _read_columns(path)
     frame = meta.get("frame", "offset")
-    omega_qd = float(meta["omega_qd_ueV"]) if "omega_qd_ueV" in meta else None
-    spec = Spectrum(xs, ys, frame=frame, omega_qd=omega_qd)
-    return spec, meta
+    if frame != "offset":
+        raise GridError(f"{path}: frame {frame!r} is not supported; spectra "
+                        "hold offsets from the emitter energy")
+    return Spectrum(xs, ys), meta

@@ -145,6 +145,42 @@ def test_deconvolve_writes_one_output_per_input(tmp_path):
         assert np.all(np.isfinite(out.values))
 
 
+def deconvolved_sweep_verdict(tmp_path, system):
+    """``synthesize --seed 1``, ``deconvolve``, then ``fit-spectra`` on the
+    deconvolved spectra; returns verdict.json."""
+    config = tmp_path / f"{system}.ini"
+    write_config(config, system)
+    data, dec, fits = tmp_path / "data", tmp_path / "dec", tmp_path / "fits"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--seed", "1", "--quiet"]) == 0
+    assert cli.main(["deconvolve", "--config", str(config), "--out", str(dec),
+                     "--quiet", *sorted(map(str, data.glob(
+                         "spectrum_delta_*ueV.txt")))]) == 0
+    assert cli.main(["fit-spectra", "--config", str(config), "--out",
+                     str(fits), "--quiet",
+                     *sorted(map(str, dec.glob("*_deconvolved.txt")))]) == 0
+    return json.loads((fits / "verdict.json").read_text())
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_fit_spectra_on_deconvolved_sweep(tmp_path, system):
+    verdict = deconvolved_sweep_verdict(tmp_path, system)
+    assert verdict["n_records"] == 7
+    assert verdict["n_failures"] == 0
+    if system == "mp":
+        assert verdict["label"] == "crossing"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at seed 1 the pair fits of the deconvolved PC spectra at delta = -600 "
+    "and -400 put the cavity line at +200 and +189 ueV with FWHMs of 300 "
+    "and 706 ueV; that lifts the threshold (half the mean cavity FWHM) to "
+    "127.8 ueV, above the 114.1 ueV minimum separation"))
+def test_deconvolved_pc_sweep_anticrosses(tmp_path):
+    assert deconvolved_sweep_verdict(tmp_path, "pc")["label"] == \
+        "anti_crossing"
+
+
 def test_compare_g_on_synthesized_micropillar(tmp_path):
     config = tmp_path / "mp.ini"
     write_config(config, "mp", "\n[fit]\ncoupling_mode = full\n")
@@ -191,7 +227,7 @@ def test_fit_decay_matches_compare_g_fast_rate(tmp_path, system):
                      str(data), "--seed", "5", "--quiet"]) == 0
     assert cli.main(["fit-decay", "--config", str(config), "--out",
                      str(fits), "--quiet", decay]) == 0
-    assert (fits / "decay_fit.txt").read_text().startswith("converged = True")
+    assert sorted(p.name for p in fits.iterdir()) == ["decay_fit.json"]
     fit = json.loads((fits / "decay_fit.json").read_text())
     assert fit["converged"] is True
     assert cli.main(["compare-g", "--config", str(config), "--out",
@@ -240,14 +276,14 @@ noise = true
 
 
 def assert_config_error(tmp_path, caplog, text, marker,
-                        command="synthesize"):
+                        command="synthesize", files=()):
     """``command`` exits 2, writes nothing, and logs one error that starts
     with ``path:line:`` of the line ``marker`` (``path:`` if it is None)."""
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(path), "--out", str(out),
-                     "--quiet"]) == 2
+                     "--quiet", *files]) == 2
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
     assert len(errors) == 1
@@ -291,35 +327,57 @@ def test_valid_config_synthesizes(tmp_path):
      "delta_min_ueV = -50\ndelta_max_ueV = 50", None),
     ("deltas_ueV = -50, 0, 50", "deltas_ueV = 0\ndelta_min_ueV = -100\n"
      "delta_max_ueV = 100\ndelta_step_ueV = 50", "delta_min_ueV = -100"),
+    ("spectrometer_q = 40000.0\n",
+     "spectrometer_q = 40000.0\nspectral_irf_fwhm_ueV = 100\n",
+     "spectral_irf_fwhm_ueV = 100"),
+    ("[instrument]\n", "[instrument]\nspectral_irf_file = irf.txt\n",
+     "spectrometer_q = 40000.0"),
+    ("[instrument]\n", "[instrument]\ntemporal_irf_file = irf.txt\n",
+     "temporal_irf_fwhm_ns = 0.05"),
 ], ids=["empty-section", "unknown-section", "unknown-key", "duplicate-key",
         "key-outside-section", "not-key-value", "bad-number", "bad-list",
         "bad-boolean", "bad-choice", "small-grid", "missing-key",
         "missing-system", "missing-irf-file", "q-without-wavelength",
-        "range-without-step", "list-and-range"])
+        "range-without-step", "list-and-range", "q-and-irf-fwhm",
+        "spectral-irf-file-and-q", "temporal-irf-file-and-fwhm"])
 def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     text = VALID + new if not old else VALID.replace(old, new, 1)
     assert text != VALID
+    (tmp_path / "irf.txt").write_text("-1 1\n0 2\n1 1\n")
     assert_config_error(tmp_path, caplog, text, marker)
 
 
-@pytest.mark.parametrize("source", ["--seed", "CQED_LAB_SEED"])
-def test_negative_seed_exits_2(tmp_path, caplog, monkeypatch, source):
+@pytest.mark.parametrize("config_seed", ["", "[output]\nseed = 3\n"],
+                         ids=["--seed", "--seed-over-config"])
+def test_negative_seed_exits_2(tmp_path, caplog, config_seed):
     path = tmp_path / "ok.ini"
-    path.write_text(VALID)
+    path.write_text(VALID + config_seed)
     out = tmp_path / "out"
-    argv = ["synthesize", "--config", str(path), "--out", str(out), "--quiet"]
-    if source == "--seed":
-        argv += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv(source, "-1")
+    argv = ["synthesize", "--config", str(path), "--out", str(out), "--quiet",
+            "--seed", "-1"]
     assert cli.main(argv) == 2
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and errors[0].startswith(source), errors
+    assert len(errors) == 1 and errors[0].startswith("--seed"), errors
     assert not out.exists()
-    # commands that never read a seed ignore a bad one
+    # commands that never read a seed have no --seed
     argv[0] = "simulate-sweep"
-    assert cli.main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,files,dropped", [
+    ("simulate-sweep", (), ["deltas_ueV"]),
+    ("fit-spectra", ("spectrum.txt",),
+     ["wavelength_nm", "spectrometer_q", "convolve_irf"]),
+], ids=["sweep-without-detunings", "fit-without-wavelength"])
+def test_command_rejecting_its_config_leaves_no_directory(
+        tmp_path, caplog, command, files, dropped):
+    text = "".join(line + "\n" for line in VALID.splitlines()
+                   if line.split(" = ")[0] not in dropped)
+    assert_config_error(tmp_path, caplog, text, None, command=command,
+                        files=[str(tmp_path / f) for f in files])
 
 
 def test_range_sweep_loads_benchmark_detunings(tmp_path):
@@ -352,8 +410,8 @@ def test_non_finite_and_out_of_range_values_are_rejected(tmp_path, caplog,
 
 
 @pytest.mark.parametrize("section,key", [
-    ("system", "wavelength_nm"), ("system", "omega_qd_ueV"),
-    ("sweep", "delta_step_ueV"), ("spectra", "grid_span_ueV"),
+    ("system", "wavelength_nm"), ("sweep", "delta_step_ueV"),
+    ("spectra", "grid_span_ueV"),
     ("instrument", "spectral_irf_fwhm_ueV"), ("instrument", "spectrometer_q"),
     ("instrument", "temporal_irf_fwhm_ns"), ("decay", "t_max_ns"),
     ("decay", "dt_ns"), ("decay", "t_lead_ns"), ("fit", "init_g_ueV"),
@@ -367,8 +425,7 @@ def test_positive_keys_reject_zero(tmp_path, caplog, section, key):
 
 
 @pytest.mark.parametrize("section,key", [
-    ("spectra", "convolve_irf"), ("fit", "convolve_spectral_irf"),
-    ("fit", "deconvolve")])
+    ("spectra", "convolve_irf"), ("fit", "convolve_spectral_irf")])
 def test_spectral_convolution_without_irf_is_rejected(tmp_path, caplog,
                                                       section, key):
     text = (VALID.replace("spectrometer_q = 40000.0\n", "")

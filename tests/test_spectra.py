@@ -302,19 +302,20 @@ class TestSerialization:
         path = tmp_path / "spec.txt"
         write_spectrum(spec, path, metadata={"detuning_ueV": "0"})
         back, meta = read_spectrum(path)
-        assert back.frame == "offset"
+        assert meta["frame"] == "offset"
         assert meta["detuning_ueV"] == "0"
         assert np.allclose(back.omega, spec.omega, rtol=1e-12)
         assert np.allclose(back.intensity, spec.intensity, rtol=1e-10)
 
-    def test_absolute_frame_preserved(self, tmp_path):
-        spec = Spectrum(np.linspace(0.0, 10.0, 11) + 1.342e6,
-                        np.ones(11), frame="absolute", omega_qd=1.342e6)
+    def test_absolute_frame_rejected(self, tmp_path):
+        # spectra hold offsets from the emitter energy; a file of absolute
+        # photon energies must not be fit as if it held offsets
         path = tmp_path / "abs.txt"
-        write_spectrum(spec, path)
-        back, _ = read_spectrum(path)
-        assert back.frame == "absolute"
-        assert back.omega_qd == pytest.approx(1.342e6)
+        path.write_text("# cqed-lab spectrum v1\n# frame = absolute\n"
+                        "# omega_qd_ueV = 1342000\n1342000 1\n1342001 2\n")
+        with pytest.raises(GridError, match=re.escape(
+                f"{path}: frame 'absolute' is not supported")):
+            read_spectrum(path)
 
     @pytest.mark.parametrize("body, message", [
         ("# frame = offset\n0.0 1.0\n1.0\n", "malformed data line '1.0'"),
@@ -376,14 +377,13 @@ class TestSerialization:
 
         spec = emission_spectrum(pc_cavity.with_(delta=50.0),
                                  grid=default_grid(pc_cavity, 4096))
-        spec.omega_qd = 1.333e6
         spec.intensity[::7] *= -1.0  # signs and tiny values format too
         spec.intensity[5] = 1e-300
         path = tmp_path / "spec.txt"
         write_spectrum(spec, path,
                        metadata={"seed": "3", "detuning_ueV": "50"})
         header = ["# cqed-lab spectrum v1", "# frame = offset",
-                  "# omega_qd_ueV = 1333000", "# detuning_ueV = 50",
+                  "# detuning_ueV = 50",
                   "# seed = 3", "# columns: omega_ueV intensity"]
         assert path.read_bytes() == per_row(
             header, spec.omega, spec.intensity).encode()
