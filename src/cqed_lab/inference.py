@@ -3,17 +3,19 @@
 Each fitter states a model, a start point and lower bounds, and hands them
 to ``_solve``, the one place the convergence contract lives.  ``_solve``
 calls :func:`least_squares`, a projected Levenberg-Marquardt solver in
-numpy.  Parameters have lower bounds only; one the fit drives onto its
-bound is held there, exactly, while the gradient pushes it outward.  The
-fit stops at a trial step shorter than 1e-8 (1e-8 + |x|), a free gradient
-component below 1e-10, a cost falling by less than 1e-14 of itself, or
-after 500 residual evaluations.  The result's ``status`` is 0 when the
-evaluation limit stopped it and positive otherwise (the fitters report it
-as ``converged``); its ``active_mask`` is -1 for parameters on their lower
-bound, or within 1e-8 of it, and 0 elsewhere.  The Lorentzian-pair and
-multiexponential models carry analytic Jacobians, built only where the
-solver needs one; the emitter-cavity spectral model is differentiated by
-3-point differences.
+numpy that takes each step from the Cholesky factor of the scaled normal
+equations, a system of the free parameters alone.  Parameters have lower
+bounds only; one the fit drives onto its bound is held there, exactly,
+while the gradient pushes it outward.  A residual or Jacobian that is not
+finite raises ``FitError``.  The fit stops at a trial step shorter than
+1e-8 (1e-8 + |x|), a free gradient component below 1e-10, a cost falling
+by less than 1e-14 of itself, or after 500 residual evaluations.  The
+result's ``status`` is 0 when the evaluation limit stopped it and positive
+otherwise (the fitters report it as ``converged``); its ``active_mask`` is
+-1 for parameters on their lower bound, or within 1e-8 of it, and 0
+elsewhere.  The Lorentzian-pair and multiexponential models carry analytic
+Jacobians, built only where the solver needs one; the emitter-cavity
+spectral model is differentiated by 3-point differences.
 """
 
 from __future__ import annotations
@@ -215,13 +217,22 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
 
     A Levenberg-Marquardt loop (Moré, Lecture Notes in Mathematics 630,
     1978) with lower bounds only.  Each iteration holds the parameters that
-    sit on their bound with the gradient pushing outward (the active set),
-    solves the damped step for the others through a QR factorization of
-    their Jacobian columns, scaled by the largest column norms seen so far,
-    and projects the trial point onto the bounds.  The damping follows
+    sit on their bound with the gradient pushing outward (the active set)
+    and forms, for the others, A = J^T J and g = J^T f.  Their scales d are
+    the largest column norms of J seen so far, sqrt(diag A), or 1 for a
+    column that has always been zero.  A trial step s = u / d, the one
+    that minimizes |J s + f|^2 + mu |d s|^2, solves the scaled damped
+    normal equations (A / (d d^T) + mu I) u = -g / d by a Cholesky
+    factorization; the trial point is projected onto the bounds, and the
+    predicted reduction is -g.s - s.A.s / 2.  The damping follows
     Nielsen's update (IMM-REP-1999-05): on a step that lowers the cost by
     the ratio rho of the predicted reduction, it is multiplied by
-    max(1/3, 1 - (2 rho - 1)^3); on a rejected step by 2, 4, 8, ...
+    max(1/3, 1 - (2 rho - 1)^3); on a rejected step by 2, 4, 8, ...  A
+    factorization that fails, which finite input allows only once mu has
+    decayed to roundoff in the unit diagonal of A / (d d^T), counts as a
+    rejected step without an evaluation.  A residual or Jacobian that is
+    not finite at the start or at an accepted point raises ``FitError``
+    naming the start point.
 
     ``jac`` is a callable returning the Jacobian at x, or ``"3-point"`` for
     central differences (one-sided next to a bound); difference evaluations
@@ -242,13 +253,17 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
     if max_nfev is None:
         max_nfev = 100 * x.size
 
-    def jacobian(p, fp):
-        return jac(p) if callable(jac) else _jac_3point(fun, p, fp, lower)
+    def linearize(p, fp):  # the Jacobian at p and J^T J, checked finite
+        jp = jac(p) if callable(jac) else _jac_3point(fun, p, fp, lower)
+        if not (np.isfinite(fp).all() and np.isfinite(jp).all()):
+            raise FitError("residual or Jacobian not finite in the fit "
+                           f"started at {np.asarray(x0, float).tolist()}")
+        return jp, jp.T @ jp
 
     x = np.maximum(x, lower)
     f = fun(x)
     nfev, cost = 1, 0.5 * float(f @ f)
-    J = jacobian(x, f)
+    J, jtj = linearize(x, f)
     scale = np.zeros(x.size)
     mu, nu = _MU0, 2.0
     status = None
@@ -261,15 +276,20 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
         if nfev >= max_nfev:
             status = 0
             break
-        q, r = np.linalg.qr(J[:, free])
-        rhs = np.concatenate([-(q.T @ f), np.zeros(r.shape[1])])
-        # columns of r have the norms of the free columns of J
-        scale[free] = np.maximum(scale[free], np.linalg.norm(r, axis=0))
+        a = jtj[np.ix_(free, free)]
+        # diag(a) holds the squared norms of the free columns of J
+        scale[free] = np.maximum(scale[free], np.sqrt(np.diag(a)))
         d = np.where(scale[free] > 0.0, scale[free], 1.0)
+        a_s, g_s = a / np.outer(d, d), g[free] / d
         reduction = -1.0
         while reduction <= 0.0 and nfev < max_nfev:
-            s = np.linalg.lstsq(np.vstack([r, np.diag(np.sqrt(mu) * d)]),
-                                rhs, rcond=None)[0]
+            try:
+                chol = np.linalg.cholesky(a_s + mu * np.eye(d.size))
+            except np.linalg.LinAlgError:  # mu below roundoff in a_s
+                mu *= nu
+                nu *= 2.0
+                continue
+            s = -np.linalg.solve(chol.T, np.linalg.solve(chol, g_s)) / d
             x_new = x.copy()
             x_new[free] = np.maximum(x[free] + s, lower[free])
             s = x_new[free] - x[free]
@@ -279,7 +299,7 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
             if not np.isfinite(cost_new):
                 cost_new = np.inf
             reduction = cost - cost_new
-            predicted = -float(g[free] @ s) - 0.5 * float(np.sum((r @ s) ** 2))
+            predicted = -float(g[free] @ s) - 0.5 * float(s @ a @ s)
             rho = reduction / predicted if predicted > 0.0 else 0.0
             if reduction > 0.0:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
@@ -294,7 +314,7 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
                 break
         if reduction > 0.0:
             x, f, cost = x_new, f_new, cost_new
-            J = jacobian(x, f)
+            J, jtj = linearize(x, f)
     near = x - lower <= xtol * np.maximum(1.0, np.abs(lower))
     return LeastSquaresResult(x=x, cost=cost, fun=f, jac=J, nfev=nfev,
                               status=status, active_mask=np.where(
@@ -377,13 +397,13 @@ def _solve(model, data: SampledSignal, p0, lower,
                 return np.column_stack([conv(col) for col in v.T])
             return np.convolve(v, weights)[start:start + x.size]
 
-    s = np.ones_like(y) if sigma is None else sigma
-
     def residual(p):
-        return (conv(model(xe, p)) - y) / s
+        r = conv(model(xe, p)) - y
+        return r if sigma is None else r / sigma
 
     def jacobian(p):
-        return conv(model(xe, p, jac=True)[1]) / s[:, None]
+        j = conv(model(xe, p, jac=True)[1])
+        return j if sigma is None else j / sigma[:, None]
 
     return least_squares(residual, p0, jac=jacobian if jac else "3-point",
                          bounds=(lower, np.inf), xtol=_XTOL, gtol=_GTOL,
@@ -417,8 +437,10 @@ def fit_lorentzian_pair(spec: SampledSignal, init: LorentzianPairParams,
     """Fit two Lorentzians plus a flat baseline to a spectrum.
 
     If ``irf`` is given the model is convolved with it before comparing to
-    the data.  Degenerate outcomes (merged centers, singular curvature) are
-    flagged in ``messages`` rather than silently accepted.
+    the data.  Degenerate outcomes (merged centers, singular curvature, a
+    line driven onto zero height, whose center and width the data then do
+    not constrain) are flagged in ``messages`` rather than silently
+    accepted.
     """
     if not np.all(np.isfinite(list(init.centers) + list(init.fwhms)
                               + list(init.heights))):
@@ -436,6 +458,8 @@ def fit_lorentzian_pair(spec: SampledSignal, init: LorentzianPairParams,
     w_min = min(out.estimates["fwhm_1"], out.estimates["fwhm_2"])
     if abs(c1 - c2) < 0.05 * w_min:
         out.messages = out.messages + ("merged-centers",)
+    if np.any(res.active_mask[[2, 5]] == -1):
+        out.messages = out.messages + ("vanished-line",)
     return out
 
 
@@ -718,16 +742,21 @@ def classify_coupling(records: list[SweepRecord]) -> CouplingClassification:
     """Label a detuning sweep as 'crossing' or 'anti_crossing'.
 
     Anti-crossing requires the minimum fitted peak separation across the
-    sweep to exceed the threshold, half the mean fitted cavity FWHM.  Needs
-    at least five records covering both detuning signs.
+    sweep to exceed the threshold, half the mean fitted cavity FWHM.  A
+    cavity line fitted with zero area has no width the data constrain, so
+    it is left out of that mean.  Needs at least five records covering both
+    detuning signs and one cavity line of nonzero area.
     """
     if len(records) < 5:
         raise ValueError("need at least five sweep records")
     detunings = [r.detuning for r in records]
     if min(detunings) >= 0 or max(detunings) <= 0:
         raise ValueError("sweep must cover both detuning signs")
+    widths = [r.fwhm_ca for r in records if r.rel_area_ca > 0]
+    if not widths:
+        raise ValueError("every fitted cavity line has zero area")
     min_sep = min(r.separation for r in records)
-    threshold = 0.5 * float(np.mean([r.fwhm_ca for r in records]))
+    threshold = 0.5 * float(np.mean(widths))
     label = "anti_crossing" if min_sep > threshold else "crossing"
     return CouplingClassification(label=label, min_separation=min_sep,
                                   threshold=threshold)

@@ -171,11 +171,6 @@ def test_fit_spectra_on_deconvolved_sweep(tmp_path, system):
         assert verdict["label"] == "crossing"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at seed 1 the pair fits of the deconvolved PC spectra at delta = -600 "
-    "and -400 put the cavity line at +200 and +189 ueV with FWHMs of 300 "
-    "and 706 ueV; that lifts the threshold (half the mean cavity FWHM) to "
-    "127.8 ueV, above the 114.1 ueV minimum separation"))
 def test_deconvolved_pc_sweep_anticrosses(tmp_path):
     assert deconvolved_sweep_verdict(tmp_path, "pc")["label"] == \
         "anti_crossing"

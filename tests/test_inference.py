@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ class TestFitLorentzianPair:
         fit = fit_lorentzian_pair(single, init)
         assert ("merged-centers" in fit.messages
                 or "singular-curvature" in fit.messages)
+
+    def test_line_driven_to_zero_height_flagged(self):
+        y = (lorentzian(self.x, 0.0, 40.0, 1.0) + 0.05
+             + np.random.default_rng(1).normal(0.0, 0.01, self.x.size))
+        init = LorentzianPairParams(centers=(5.0, -250.0), fwhms=(30.0, 30.0),
+                                    heights=(0.8, 0.3))
+        fit = fit_lorentzian_pair(SampledSignal(self.x, y, "spectral"), init)
+        assert fit.estimates["height_2"] == 0.0
+        assert "vanished-line" in fit.messages
+        record = extract_sweep_record(fit, 930.0)
+        assert 0.0 in (record.rel_area_qd, record.rel_area_ca)
 
     def test_permutation_invariance(self):
         truth = LorentzianPairParams(centers=(-57.0, 57.0), fwhms=(60.0, 65.0),
@@ -420,6 +432,24 @@ class TestClassifyCoupling:
         assert a.label == b.label
         assert a.min_separation == pytest.approx(b.min_separation, rel=1e-9)
 
+    def test_zero_area_cavity_line_left_out_of_threshold(self):
+        # a PC-like anti-crossing, 114.1 ueV apart at resonance, whose fit at
+        # delta = -600 drove the cavity line to zero height and 700 ueV
+        records = [SweepRecord(
+            detuning=d, energy_qd=math.hypot(d / 2.0, 57.05),
+            energy_ca=-math.hypot(d / 2.0, 57.05), fwhm_qd=10.0,
+            fwhm_ca=195.0, q_qd=1e5, q_ca=7e3, rel_area_qd=0.5,
+            rel_area_ca=0.5) for d in np.linspace(-600.0, 600.0, 7)]
+        records[0].fwhm_ca, records[0].rel_area_qd = 700.0, 1.0
+        records[0].rel_area_ca = 0.0
+        out = classify_coupling(records)
+        assert out.threshold == pytest.approx(97.5)
+        assert out.label == "anti_crossing"
+        for r in records:
+            r.rel_area_ca = 0.0
+        with pytest.raises(ValueError, match="zero area"):
+            classify_coupling(records)
+
 
 class TestCompareCouplingEstimates:
     def test_paper_values(self):
@@ -515,6 +545,19 @@ def fit_noisy_jc():
     return fit_jc_cavity_spectrum(spec, PC_FIXED, init_g=60.0)
 
 
+def fit_near_merged_pair():
+    # two lines 17 ueV apart, closer than one cavity FWHM, as the MP pair at
+    # resonance, with Poisson noise at 1e4 peak counts: the case whose
+    # Jacobian columns are closest to dependent
+    x = np.linspace(-500.0, 500.0, 2001)
+    truth = LorentzianPairParams(centers=(-8.5, 8.5), fwhms=(30.0, 110.0),
+                                 heights=(0.6, 0.4))
+    line = pair_signal(x, truth, baseline=0.01).values
+    counts = np.random.default_rng(11).poisson(1e4 * line / line.max())
+    spec = SampledSignal(x, counts.astype(float), "spectral")
+    return fit_lorentzian_pair(spec, seed_lorentzian_pair(spec))
+
+
 def fit_noisy_multi():
     curve, irf, _ = make_decay([10.0, 0.5], [5.0, 2.0], t_max=25.0, dt=0.01,
                                rng=np.random.default_rng(17))
@@ -525,9 +568,10 @@ class TestLeastSquares:
     @pytest.mark.parametrize("fit", [
         lambda: fit_noisy_pair(with_irf=False),
         lambda: fit_noisy_pair(with_irf=True),
+        fit_near_merged_pair,
         fit_noisy_jc,
         fit_noisy_multi,
-    ], ids=["pair", "pair-irf", "jc", "multi"])
+    ], ids=["pair", "pair-irf", "near-merged-pair", "jc", "multi"])
     def test_estimates_match_scipy(self, monkeypatch, fit):
         ours = fit()
         monkeypatch.setattr(cqed_lab.inference, "least_squares",
@@ -564,3 +608,58 @@ class TestLeastSquares:
         monkeypatch.setattr(cqed_lab.inference, "_MAX_NFEV", 3)
         with pytest.raises(FitError):
             fit_lorentzian_pair(spec, init)
+
+    def test_zero_jacobian_column_takes_zero_step(self):
+        # the second line has zero height, so its center and width columns
+        # of the Jacobian are exactly zero: both stay where they started
+        spec = noisy_pair()
+        x = spec.grid
+        start = [-55.0, 35.0, 0.9, 120.0, 50.0, 0.0]
+
+        def model(p, jac=False):
+            return cqed_lab.inference._lorentzians(
+                x, [*p[:5], 0.0, p[5]], jac)
+
+        res = cqed_lab.inference.least_squares(
+            lambda p: model(p) - spec.values, start,
+            jac=lambda p: np.delete(model(p, jac=True)[1], 5, axis=1))
+        assert res.status > 0
+        assert not res.jac[:, 3:5].any()
+        assert list(res.x[3:5]) == start[3:5]
+        # the live parameters land where a fit without the dead ones does
+        live = [0, 1, 2, 5]
+        alone = cqed_lab.inference.least_squares(
+            lambda p: model([*p[:3], 0.0, 1.0, p[3]]) - spec.values,
+            [start[i] for i in live],
+            jac=lambda p: model([*p[:3], 0.0, 1.0, p[3]], jac=True)[1][
+                :, [0, 1, 2, 6]])
+        assert res.x[live] == pytest.approx(alone.x, rel=1e-6)
+
+    @pytest.mark.parametrize("where", ["residual", "jacobian"])
+    def test_non_finite_values_raise_fit_error(self, capfd, where):
+        spec = noisy_pair()
+        x = spec.grid
+        start = [-55.0, 35.0, 0.9]
+        nfev = []
+
+        def residual(p):
+            nfev.append(1)
+            r = lorentzian(x, *p) - spec.values
+            if where == "residual":
+                r[100] = np.nan
+            return r
+
+        njev = []
+
+        def jacobian(p):
+            njev.append(1)
+            j = cqed_lab.inference._lorentzians(x, [*p, 0.0], jac=True)[1]
+            if where == "jacobian" and len(njev) > 1:  # after one step
+                j[:, 1] = np.nan
+            return j[:, :3]
+
+        with pytest.raises(FitError, match=re.escape(f"started at {start}")):
+            cqed_lab.inference.least_squares(residual, start, jac=jacobian)
+        # raised at once, not after running to the evaluation limit
+        assert len(nfev) <= (1 if where == "residual" else 10)
+        assert capfd.readouterr().err == ""
