@@ -8,8 +8,8 @@ light-matter coupling strength from time-resolved decay curves and from the
 spectral Rabi splitting.
 """
 
-from .errors import (BracketError, ConfigError, CqedError, DeconvolutionError,
-                     FitError, GridError, PeakError, TruncationError)
+from .errors import (ConfigError, CqedError, DeconvolutionError, FitError,
+                     GridError, PeakError, TruncationError)
 from .inference import (CouplingClassification, CouplingComparison,
                         DecayModelParams, FitResult, LorentzianPairParams,
                         SweepRecord, classify_coupling,

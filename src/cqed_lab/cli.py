@@ -133,12 +133,10 @@ _SCHEMA = (
     ("decay", "delta_ueV", "decay_delta", _number, _NUM, 0.0),
     ("decay", "t_max_ns", "decay_t_max", _positive, _POS, None),
     ("decay", "dt_ns", "decay_dt", _positive, _POS, None),
-    ("decay", "t_lead_ns", "decay_t_lead", _positive, _POS, None),
     ("fit", "decay_mode", "decay_mode", _choice("single", "bi", "multi"),
      "one of single, bi, multi", "multi"),
     ("fit", "coupling_mode", "coupling_mode", _choice("adiabatic", "full"),
      "one of adiabatic, full", "adiabatic"),
-    ("fit", "init_g_ueV", "init_g", _positive, _POS, None),
     ("fit", "convolve_spectral_irf", "fit_convolve_irf", _bool, _BOOL, False),
     ("fit", "band_limit", "band_limit", _positive, _POS, None),
     ("synthesize", "peak_counts", "peak_counts", _positive, _POS, 10000.0),
@@ -172,10 +170,8 @@ class ExperimentConfig:
     decay_delta: float
     decay_t_max: float | None
     decay_dt: float | None
-    decay_t_lead: float | None
     decay_mode: str
     coupling_mode: str
-    init_g: float | None
     fit_convolve_irf: bool
     band_limit: float | None
     peak_counts: float
@@ -412,6 +408,7 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
                           "wavelength_nm for Q factors")
 
     records = []
+    flags = {}
     failures = 0
     for path in args.files:
         try:
@@ -423,6 +420,10 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
                    else None)
             init = inference.seed_lorentzian_pair(sig)
             fit = inference.fit_lorentzian_pair(sig, init, irf=irf)
+            if fit.messages:
+                flags[os.path.basename(path)] = list(fit.messages)
+                log.warning("%s: pair fit flagged: %s", path,
+                            ", ".join(fit.messages))
             rec = inference.extract_sweep_record(fit, wavelength,
                                                  detuning=detuning,
                                                  source=os.path.basename(path))
@@ -445,7 +446,8 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
     verdict_payload: dict = {"format": "cqed-lab verdict v1",
                              "n_records": len(records),
-                             "n_failures": failures}
+                             "n_failures": failures,
+                             "flags": flags}
     try:
         verdict = inference.classify_coupling(records)
         verdict_payload.update({
@@ -511,11 +513,10 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
             bg = float(meta.get("background_fraction", "0") or 0.0)
             sig = instrument.SampledSignal(spec.omega, spec.intensity,
                                            "spectral")
-            init_g = cfg.init_g if cfg.init_g else max(p.kappa / 4.0, 1.0)
             fit = inference.fit_jc_cavity_spectrum(
                 sig, fixed={"kappa": p.kappa, "gamma": p.gamma,
                             "gamma_dp": p.gamma_dp, "delta": delta},
-                init_g=init_g, background_fraction=bg)
+                init_g=max(p.kappa / 4.0, 1.0), background_fraction=bg)
             g_spec = fit.estimates["g"]
             report["spectral"] = {"available": True, "g_ueV": g_spec,
                                   "g_stderr_ueV": fit.errors["g"],
@@ -628,8 +629,7 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     dt = cfg.decay_dt or max(t_max / 8192.0, 2e-3)
     irf = cfg.irf("temporal", dt)
     fwhm = cfg.temporal_irf_fwhm or 0.0
-    t_lead = cfg.decay_t_lead or max(6.0 * fwhm, 20.0 * dt)
-    n_lead = int(math.ceil(t_lead / dt))
+    n_lead = int(math.ceil(max(6.0 * fwhm, 20.0 * dt) / dt))
     n = int(math.ceil(t_max / dt))
     grid = (np.arange(n_lead + n + 1) - n_lead) * dt
 

@@ -13,10 +13,6 @@ class TruncationError(CqedError):
     """Dynamics that never decay, so their time integrals or horizon diverge."""
 
 
-class BracketError(CqedError):
-    """A root-finding bracket could not be established."""
-
-
 class DeconvolutionError(CqedError):
     """Ill-posed deconvolution (IRF transform vanishes inside the passband)."""
 

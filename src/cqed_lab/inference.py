@@ -13,9 +13,10 @@ by less than 1e-14 of itself, or after 500 residual evaluations.  The
 result's ``status`` is 0 when the evaluation limit stopped it and positive
 otherwise (the fitters report it as ``converged``); its ``active_mask`` is
 -1 for parameters on their lower bound, or within 1e-8 of it, and 0
-elsewhere.  The Lorentzian-pair and multiexponential models carry analytic
-Jacobians, built only where the solver needs one; the emitter-cavity
-spectral model is differentiated by 3-point differences.
+elsewhere.  Every model carries its analytic Jacobian, built only where
+the solver needs one: the Lorentzian pair and the multiexponential in
+closed form, the emitter-cavity spectrum through the derivatives of its
+resolvent and time integrals (``spectra._detected_intensity``).
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ _MAX_NFEV = 500
 # 0.1 took the fewest evaluations: 3,067 against 4,086 at 1e-6, 3,626 at
 # 1e-2 and 3,403 at 1.
 _MU0 = 0.1
-# Relative step of the 3-point difference Jacobian, eps^(1/3).
-_DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 # The second pair seed stays this many fitted FWHMs of the first line away
 # from that line's center.  Chosen on IRF-blurred, Poisson-noised MP and PC
 # sweeps (1e3-1e5 peak counts, radii 0-3): below 1 the far-detuned PC seeds
@@ -211,7 +210,7 @@ class LeastSquaresResult:
     active_mask: np.ndarray
 
 
-def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
                   ftol=1e-8, xtol=1e-8, gtol=1e-8, max_nfev=None):
     """Minimize 0.5 sum(fun(x)^2) subject to x >= lower by projected LM.
 
@@ -234,17 +233,17 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
     not finite at the start or at an accepted point raises ``FitError``
     naming the start point.
 
-    ``jac`` is a callable returning the Jacobian at x, or ``"3-point"`` for
-    central differences (one-sided next to a bound); difference evaluations
-    do not count in ``nfev``.  ``bounds`` is (lower, upper) with upper
-    infinite.  A start below its bound is moved onto it.  Termination
-    follows scipy's codes in ``status``: 1, the largest free gradient
-    component is below ``gtol``; 2, a step with rho > 0.25 lowered the cost
-    by less than ``ftol`` times the cost; 3, a trial step is shorter than
-    ``xtol (xtol + |x|)``; 4, both 2 and 3; 0, ``max_nfev`` evaluations
-    (default 100 per parameter) were used first.  ``active_mask`` is -1
-    where x lies on its lower bound, or within ``xtol`` max(1, |lower|) of
-    it, and 0 elsewhere; ``jac`` is the Jacobian at the returned x.
+    ``jac`` is a callable returning the Jacobian at x, passed where scipy
+    takes it; its calls do not count in ``nfev``.  ``bounds`` is (lower,
+    upper) with upper infinite.  A start below its bound is moved onto it.
+    Termination follows scipy's codes in ``status``: 1, the largest free
+    gradient component is below ``gtol``; 2, a step with rho > 0.25 lowered
+    the cost by less than ``ftol`` times the cost; 3, a trial step is
+    shorter than ``xtol (xtol + |x|)``; 4, both 2 and 3; 0, ``max_nfev``
+    evaluations (default 100 per parameter) were used first.
+    ``active_mask`` is -1 where x lies on its lower bound, or within
+    ``xtol`` max(1, |lower|) of it, and 0 elsewhere; ``jac`` is the
+    Jacobian at the returned x.
     """
     x = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(bounds[0], dtype=float), x.shape)
@@ -254,7 +253,7 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
         max_nfev = 100 * x.size
 
     def linearize(p, fp):  # the Jacobian at p and J^T J, checked finite
-        jp = jac(p) if callable(jac) else _jac_3point(fun, p, fp, lower)
+        jp = jac(p)
         if not (np.isfinite(fp).all() and np.isfinite(jp).all()):
             raise FitError("residual or Jacobian not finite in the fit "
                            f"started at {np.asarray(x0, float).tolist()}")
@@ -321,24 +320,6 @@ def least_squares(fun, x0, jac="3-point", bounds=(-np.inf, np.inf),
                                   np.isfinite(lower) & near, -1, 0))
 
 
-def _jac_3point(fun, x, f0, lower):
-    """Jacobian of ``fun`` at x by 3-point differences that stay >= lower.
-
-    Central where x - h respects the bound, else one-sided forward; the
-    step is h = eps^(1/3) max(1, |x_i|), rounded to a representable one.
-    """
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = (x[i] + _DIFF_STEP * max(1.0, abs(x[i]))) - x[i]
-        if x[i] - e[i] >= lower[i]:
-            jac[:, i] = (fun(x + e) - fun(x - e)) / (2.0 * e[i])
-        else:
-            jac[:, i] = (4.0 * fun(x + e) - fun(x + 2.0 * e)
-                         - 3.0 * f0) / (2.0 * e[i])
-    return jac
-
-
 def _finish(res, names) -> FitResult:
     """Assemble a FitResult with curvature standard errors."""
     jac = res.jac
@@ -371,13 +352,12 @@ def _finish(res, names) -> FitResult:
 
 
 def _solve(model, data: SampledSignal, p0, lower,
-           irf: IrfKernel | None = None, sigma=None, jac: bool = True):
+           irf: IrfKernel | None = None, sigma=None):
     """Bounded least-squares fit of ``model`` to ``data``; the raw result.
 
-    ``model(x, p)`` returns the model values on the grid ``x``.  When
-    ``jac`` is true, ``model(x, p, jac=True)`` returns the values and their
-    analytic Jacobian as a pair, and is called only where the solver needs
-    the Jacobian; otherwise it is taken by 3-point differences.  With
+    ``model(x, p)`` returns the model values on the grid ``x``, and
+    ``model(x, p, jac=True)`` the values and their analytic Jacobian as a
+    pair; it is called so only where the solver needs the Jacobian.  With
     ``irf`` the model is evaluated on the data grid extended by the kernel
     length at both ends and convolved back onto the data grid; with
     ``sigma`` each residual is divided by it.  Upper bounds are infinite.
@@ -405,7 +385,7 @@ def _solve(model, data: SampledSignal, p0, lower,
         j = conv(model(xe, p, jac=True)[1])
         return j if sigma is None else j / sigma[:, None]
 
-    return least_squares(residual, p0, jac=jacobian if jac else "3-point",
+    return least_squares(residual, p0, jacobian,
                          bounds=(lower, np.inf), xtol=_XTOL, gtol=_GTOL,
                          ftol=_FTOL, max_nfev=_MAX_NFEV)
 
@@ -707,17 +687,20 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
     det = DetectionCoefficients(eta_ca=1.0, eta_qd=0.0,
                                 background_fraction=background_fraction)
 
-    def forward(x, p):
+    def forward(x, p, jac=False):
         g, amp, offset = p
         params = SystemParams(g=g, kappa=fixed["kappa"], gamma=fixed["gamma"],
                               gamma_dp=fixed["gamma_dp"], delta=fixed["delta"])
-        return amp * _detected_intensity(params, det, x - offset)
+        if not jac:
+            return amp * _detected_intensity(params, det, x - offset)
+        i, di_dg, di_dw = _detected_intensity(params, det, x - offset, True)
+        return amp * i, np.column_stack([amp * di_dg, i, -amp * di_dw])
 
     model0 = forward(x, [init_g, 1.0, 0.0])
     peak0 = float(np.abs(model0).max()) or 1.0
     amp0 = float(np.abs(y).max()) / peak0
     p0 = [init_g, amp0, 0.0]
-    res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf], jac=False)
+    res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf])
     out = _finish(res, ["g", "amplitude", "center_offset"])
     if not out.converged:
         raise FitError("coupling-strength fit did not converge")

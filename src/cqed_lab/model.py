@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketError, GridError, TruncationError
+from .errors import GridError, TruncationError
 from .units import HBAR_UEV_NS, HC_UEV_NM
 
 __all__ = [
@@ -286,14 +286,17 @@ def mean_decay_rate(params: SystemParams) -> float:
 
 
 def coupling_from_rate(target: float, params: SystemParams,
-                       mode: str = "adiabatic", rtol: float = 1e-6) -> float:
+                       mode: str = "adiabatic") -> float:
     """Coupling strength g (ueV) reproducing a measured decay rate (ns^-1).
 
     ``mode="adiabatic"`` inverts the closed-form weak-coupling rate,
     g^2 = (Gamma - gamma)(gamma_tot^2 + delta^2) / (2 gamma_tot).
-    ``mode="full"`` bisects for the g whose full-model mean decay rate, in
-    closed form at every step, matches the target, to within ``rtol``
-    relative; ``params.g`` is ignored in both modes.
+    ``mode="full"`` inverts :func:`mean_decay_rate` exactly: the mean decay
+    time is hbar [4 gamma_tot g^2 + kappa D] / [2 (gamma + kappa) gamma_tot
+    g^2 + gamma kappa D] with D = gamma_tot^2 + delta^2, so g^2 is the
+    adiabatic one times kappa / (kappa + gamma - 2 hbar Gamma).  No g reaches
+    a rate at or above (kappa + gamma) / (2 hbar); such a target raises
+    ``ValueError``.  ``params.g`` is ignored in both modes.
     """
     if mode not in ("adiabatic", "full"):
         raise ValueError("mode must be 'adiabatic' or 'full'")
@@ -304,39 +307,18 @@ def coupling_from_rate(target: float, params: SystemParams,
             f"{gamma_rate:g} ns^-1; no cavity enhancement to explain")
     if target == gamma_rate:
         return 0.0
-    if mode == "adiabatic":
-        gtot = params.gamma_tot
-        gamma_ueV = target * HBAR_UEV_NS
-        g_sq = (gamma_ueV - params.gamma) * (gtot ** 2 + params.delta ** 2) / (2.0 * gtot)
-        return math.sqrt(g_sq)
-    if not rtol >= 4.0 * np.finfo(float).eps:
-        raise ValueError("rtol must be at least 4 machine epsilons")
-
-    def f(g):
-        return mean_decay_rate(params.with_(g=g)) - target
-
-    lo, hi = 1e-9, max(coupling_from_rate(target, params, mode="adiabatic"),
-                       1e-3)
-    f_lo, f_hi = f(lo), f(hi)
-    tries = 0
-    while f_hi < 0:
-        lo, f_lo, hi = hi, f_hi, hi * 1.6
-        f_hi = f(hi)
-        tries += 1
-        if tries > 30:
-            raise BracketError(
-                "no g bracket: full-model rate never reaches the target")
-    # bisect while f(lo) < 0 <= f(hi); the secant through the final bracket
-    # stays inside it, so within rtol of the root, and lands far closer
-    # where f is smooth
-    while hi - lo > rtol * lo:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid < 0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    gtot = params.gamma_tot
+    gamma_ueV = target * HBAR_UEV_NS
+    g_sq = (gamma_ueV - params.gamma) * (gtot ** 2 + params.delta ** 2) / (2.0 * gtot)
+    if mode == "full":
+        limit = (params.kappa + params.gamma) / 2.0
+        if gamma_ueV >= limit:
+            raise ValueError(
+                f"target rate {target:g} ns^-1 is at or above the limit "
+                f"{limit / HBAR_UEV_NS:g} ns^-1, (kappa + gamma) / (2 hbar), "
+                "which no g reaches")
+        g_sq *= params.kappa / (params.kappa + params.gamma - 2.0 * gamma_ueV)
+    return math.sqrt(g_sq)
 
 
 def purcell_enhancement(rate_on: float, rate_background: float) -> float:

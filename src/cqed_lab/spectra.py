@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridError, PeakError
 from .instrument import _check_uniform, _read_columns, _write_columns
-from .model import SystemParams, decay_moments
+from .model import SystemParams, decay_moments, generator_matrix
 # bound here as well: the tracing self-test checks that wrapping leaves
 # spectra.propagate and model.propagate the same object
 from .model import propagate  # noqa: F401
@@ -109,15 +109,15 @@ def correlation_kernel(params: SystemParams) -> CorrelationKernel:
     TruncationError
         If the population generator has a non-decaying mode.
     """
-    _, i_ca, i_po = _time_integrals(params)
     return CorrelationKernel(matrix=_correlation_generator(params),
-                             v0=np.array([i_ca, np.conj(i_po)]))
+                             v0=_start_vectors(decay_moments(params)[0])[0])
 
 
-def _time_integrals(params: SystemParams) -> tuple[float, float, complex]:
-    """(int rho_qd, int rho_ca, int rho_po) dt to infinity in ns, closed form."""
-    i0 = decay_moments(params)[0]
-    return float(i0[0]), float(i0[1]), complex(i0[2], i0[3])
+def _start_vectors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cavity and emitter start vectors, (int rho_ca, int conj(rho_po)) and
+    (int rho_po, int rho_qd) dt, linear in the real time integrals y."""
+    return (np.array([y[1], y[2] - 1j * y[3]]),
+            np.array([y[2] + 1j * y[3], y[0]]))
 
 
 def _correlation_generator(params: SystemParams) -> np.ndarray:
@@ -242,39 +242,64 @@ def emission_spectrum(params: SystemParams,
 
 
 def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
-                        grid: np.ndarray) -> np.ndarray:
-    """Intensity of :func:`emission_spectrum` on any grid, unchecked."""
-    i_qd, i_ca, i_po = _time_integrals(params)
+                        grid: np.ndarray, jac: bool = False) -> np.ndarray:
+    """Intensity of :func:`emission_spectrum` on any grid, unchecked.
+
+    With ``jac`` the result has three rows: the intensity and its analytic
+    derivatives with respect to g and to the grid offset omega.  For
+    r = R v, R the resolvent of the correlation generator A,
+    dr/dg = R (dA/dg r + dv/dg) and dr/domega = -(i/hbar) R r; the time
+    integrals y = -M^-1 y0 move as dy/dg = -M^-1 (dM/dg) y.
+    """
+    y = decay_moments(params)[0]
     matrix = _correlation_generator(params)
+    starts = _start_vectors(y)
+    if jac:  # M is linear in g: (dM/dg) y = (-2 y2, 2 y2, y0 - y1, 0)/hbar
+        dy = np.linalg.solve(generator_matrix(params), np.array(
+            [2.0 * y[2], -2.0 * y[2], y[1] - y[0], 0.0]) / HBAR_UEV_NS)
+        d_starts = _start_vectors(dy)
+
+    def transform(k):  # R v of channel k, stacked (value, d/dg, d/domega)
+        r = resolvent_transform(matrix, starts[k], grid)
+        if not jac:
+            return r[None]
+        da_r = np.array([r[1], -r[0]]) / HBAR_UEV_NS  # A is linear in g
+        return np.stack([
+            r, resolvent_transform(matrix, da_r + d_starts[k][:, None], grid),
+            -1j / HBAR_UEV_NS * resolvent_transform(matrix, r, grid)])
+
     kt = params.kappa / HBAR_UEV_NS
     gm = params.gamma / HBAR_UEV_NS
     eca, eqd = complex(det.eta_ca), complex(det.eta_qd)
-    r_ca = resolvent_transform(matrix, np.array([i_ca, np.conj(i_po)]), grid)
-    terms = abs(eca) ** 2 * kt * r_ca[0]
+    r_ca = transform(0)
+    terms = abs(eca) ** 2 * kt * r_ca[:, 0]
     if eqd != 0:
-        r_qd = resolvent_transform(matrix, np.array([i_po, i_qd]), grid)
+        r_qd = transform(1)
         root = math.sqrt(kt * gm)
         terms = (terms
-                 + abs(eqd) ** 2 * gm * r_qd[1]
-                 + np.conj(eca) * eqd * root * r_qd[0]
-                 + np.conj(eqd) * eca * root * r_ca[1])
+                 + abs(eqd) ** 2 * gm * r_qd[:, 1]
+                 + np.conj(eca) * eqd * root * r_qd[:, 0]
+                 + np.conj(eqd) * eca * root * r_ca[:, 1])
     intensity = terms.real / (math.pi * HBAR_UEV_NS)
 
-    peak = float(np.abs(intensity).max()) or 1.0
-    if intensity.min() < -1e-9 * peak:
+    peak = float(np.abs(intensity[0]).max()) or 1.0
+    if intensity[0].min() < -1e-9 * peak:
         warnings.warn(
             "interference terms drove the spectrum negative beyond numerical "
-            f"tolerance (min {intensity.min():.3g} vs peak {peak:.3g}); "
+            f"tolerance (min {intensity[0].min():.3g} vs peak {peak:.3g}); "
             "reported unclipped", stacklevel=3)
 
     frac = det.background_fraction
     if frac > 0.0:
-        area_ca = abs(eca) ** 2 * kt * i_ca
-        pedestal_area = frac / (1.0 - frac) * area_ca
-        half = params.kappa / 2.0
-        intensity = intensity + pedestal_area * (half / math.pi) / (
-            (grid + params.delta) ** 2 + half ** 2)
-    return intensity
+        half, u = params.kappa / 2.0, grid + params.delta
+        # a cavity-shaped line whose area is proportional to int rho_ca dt
+        line = frac / (1.0 - frac) * abs(eca) ** 2 * kt * (half / math.pi) \
+            / (u ** 2 + half ** 2)
+        rows = [line * y[1]]
+        if jac:
+            rows += [line * dy[1], -2.0 * u / (u ** 2 + half ** 2) * rows[0]]
+        intensity = intensity + np.array(rows)
+    return intensity if jac else intensity[0]
 
 
 def rabi_splitting(spec: Spectrum) -> float:

@@ -171,9 +171,25 @@ def test_fit_spectra_on_deconvolved_sweep(tmp_path, system):
         assert verdict["label"] == "crossing"
 
 
-def test_deconvolved_pc_sweep_anticrosses(tmp_path):
-    assert deconvolved_sweep_verdict(tmp_path, "pc")["label"] == \
-        "anti_crossing"
+def test_deconvolved_pc_sweep_anticrosses(tmp_path, caplog):
+    caplog.set_level(logging.WARNING)
+    verdict = deconvolved_sweep_verdict(tmp_path, "pc")
+    assert verdict["label"] == "anti_crossing"
+    # the far-detuned fits that drove the cavity line to zero area say so
+    # in verdict.json and in the log; sweep_records.csv keeps 10 columns
+    rows = [row.split(",") for row in (tmp_path / "fits" / "sweep_records.csv")
+            .read_text().splitlines()[1:]]
+    assert {len(row) for row in rows} == {10}
+    zero_area = {row[0] for row in rows[1:] if float(row[-1]) == 0.0}
+    assert len(zero_area) == 3
+    assert {source for source, flags in verdict["flags"].items()
+            if "vanished-line" in flags} == zero_area
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING and "pair fit flagged" in
+              r.getMessage()]
+    assert len(warned) == len(verdict["flags"])
+    assert all(any(source in message for message in warned)
+               for source in zero_area)
 
 
 def test_compare_g_on_synthesized_micropillar(tmp_path):
@@ -190,6 +206,27 @@ def test_compare_g_on_synthesized_micropillar(tmp_path):
     assert result["spectral"]["available"]
     assert result["dynamical"]["available"]
     assert result["dynamical"]["inversion_mode"] == "full"
+
+
+def test_compare_g_full_inversion_without_background_decay(tmp_path):
+    # gamma = 0: the full-model rate is inverted in closed form, with no
+    # search that could start at a g where the emitter never decays
+    config = tmp_path / "pc.ini"
+    write_config(config, "pc", "\n[fit]\ncoupling_mode = full\n")
+    config.write_text(config.read_text()
+                      .replace("gamma_ueV = 0.2", "gamma_ueV = 0")
+                      .replace(SYSTEMS["pc"][1], "0"))
+    data, report = tmp_path / "data", tmp_path / "report"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--seed", "1", "--quiet"]) == 0
+    assert cli.main(["compare-g", "--config", str(config), "--out",
+                     str(report), "--quiet",
+                     "--spectrum", str(data / cli._spectrum_filename(0.0)),
+                     "--decay", str(data / "decay.txt")]) == 0
+    result = json.loads((report / "compare_g.json").read_text())
+    assert result["dynamical"]["available"]
+    assert result["dynamical"]["inversion_mode"] == "full"
+    assert result["spectral"]["available"]
 
 
 def test_compare_g_prints_its_table_only_without_quiet(tmp_path, capsys):
@@ -409,8 +446,8 @@ def test_non_finite_and_out_of_range_values_are_rejected(tmp_path, caplog,
     ("spectra", "grid_span_ueV"),
     ("instrument", "spectral_irf_fwhm_ueV"), ("instrument", "spectrometer_q"),
     ("instrument", "temporal_irf_fwhm_ns"), ("decay", "t_max_ns"),
-    ("decay", "dt_ns"), ("decay", "t_lead_ns"), ("fit", "init_g_ueV"),
-    ("fit", "band_limit"), ("synthesize", "peak_counts")])
+    ("decay", "dt_ns"), ("fit", "band_limit"),
+    ("synthesize", "peak_counts")])
 def test_positive_keys_reject_zero(tmp_path, caplog, section, key):
     lines = [line for line in VALID.splitlines()
              if not line.startswith(key + " ")]

@@ -603,6 +603,8 @@ class TestLeastSquares:
         res = cqed_lab.inference.least_squares(
             lambda p: lorentzian(spec.grid, *p) - spec.values,
             init.centers[:1] + init.fwhms[:1] + init.heights[:1],
+            lambda p: cqed_lab.inference._lorentzians(
+                spec.grid, [*p, 0.0], jac=True)[1][:, :3],
             max_nfev=3)
         assert res.status == 0 and res.nfev == 3
         monkeypatch.setattr(cqed_lab.inference, "_MAX_NFEV", 3)

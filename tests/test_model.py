@@ -259,10 +259,25 @@ class TestCouplingFromRate:
             assert g == pytest.approx(params.g, rel=1e-9, abs=1e-9)
 
     def test_full_round_trip(self, micropillar):
-        params = micropillar.with_(delta=17.0)
-        rate = mean_decay_rate(params)
-        g = coupling_from_rate(rate, params, mode="full")
-        assert g == pytest.approx(params.g, rel=1e-5)
+        # the inverse is exact, from far below to far above the
+        # strong-coupling threshold, with and without a background decay
+        for gamma in (0.0, 1.3):
+            for delta in (0.0, 17.0):
+                for g in np.geomspace(1e-2, 3e3, 15):
+                    params = micropillar.with_(g=g, gamma=gamma, delta=delta)
+                    rate = mean_decay_rate(params)
+                    g_back = coupling_from_rate(rate, params, mode="full")
+                    assert g_back == pytest.approx(g, rel=1e-10)
+
+    def test_full_rate_limit_raises(self, micropillar):
+        # the mean decay rate rises towards (kappa + gamma) / (2 hbar) as g
+        # grows and never reaches it
+        limit = (micropillar.kappa + micropillar.gamma) / (2.0 * HBAR_UEV_NS)
+        assert mean_decay_rate(micropillar.with_(g=1e4)) < limit
+        for above in (0.0, 1e-9, 1.0):
+            with pytest.raises(ValueError, match="no g reaches"):
+                coupling_from_rate(limit * (1.0 + above), micropillar,
+                                   mode="full")
 
     @pytest.mark.parametrize("params", [
         SystemParams(g=22.6, kappa=110.0, gamma=1.3, gamma_dp=6.3, delta=17.0),
@@ -270,17 +285,16 @@ class TestCouplingFromRate:
         SystemParams(g=5.0, kappa=150.0, gamma=2.0, gamma_dp=3.0,
                      delta=-100.0),
     ])
-    @pytest.mark.parametrize("rtol", [1e-6, 1e-10])
-    def test_full_matches_brentq(self, params, rtol):
+    def test_full_matches_brentq(self, params):
         from scipy.optimize import brentq
         target = mean_decay_rate(params)
 
         def f(g):
             return mean_decay_rate(params.with_(g=g)) - target
 
-        reference = brentq(f, 1e-9, 1000.0, rtol=rtol)
-        g = coupling_from_rate(target, params, mode="full", rtol=rtol)
-        assert g == pytest.approx(reference, rel=rtol)
+        reference = brentq(f, 1e-9, 1000.0, xtol=1e-14, rtol=1e-13)
+        g = coupling_from_rate(target, params, mode="full")
+        assert g == pytest.approx(reference, rel=1e-10)
 
     def test_pc_adiabatic_inversion_near_resonance(self, pc_cavity):
         # adiabatic inversion of the fast measured rate 18.5 1/ns at zero

@@ -11,7 +11,7 @@ from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       emission_spectrum, lorentzian, propagate,
                       rabi_splitting, read_spectrum, resolvent_transform,
                       write_signal, write_spectrum)
-from cqed_lab.spectra import _prominent_maxima
+from cqed_lab.spectra import _detected_intensity, _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
 
@@ -240,6 +240,42 @@ class TestEmissionSpectrum:
         incoherent_sum = ca_only.intensity + qd_only.intensity
         assert np.abs(both.intensity - incoherent_sum).max() > \
             0.01 * both.intensity.max()
+
+
+MP = SystemParams(g=22.6, kappa=110.0, gamma=1.3, gamma_dp=6.3)
+# at delta = 0 the correlation generator is defective at this g
+MP_EXCEPTIONAL = MP.with_(g=abs(MP.kappa - MP.gamma - 2.0 * MP.gamma_dp) / 4.0)
+
+
+class TestAnalyticDerivatives:
+    @pytest.mark.filterwarnings("ignore:interference terms")
+    @pytest.mark.parametrize("params,eta_qd,frac", [
+        (MP, 0.0, 0.0),
+        (MP.with_(delta=17.0), 1.0, 0.0),
+        (MP.with_(delta=-40.0), 3j, 0.2),
+        (MP_EXCEPTIONAL, 0.0, 0.0),
+        (MP_EXCEPTIONAL, 3j, 0.2),
+        (SystemParams(g=92.4, kappa=195.0, gamma=0.0, gamma_dp=4.0,
+                      delta=60.0), 1.0, 0.3),
+    ], ids=["mp", "eta1-detuned", "eta3i-pedestal", "exceptional",
+            "exceptional-eta3i-pedestal", "pc-gamma0-pedestal"])
+    def test_match_central_differences(self, params, eta_qd, frac):
+        det = DetectionCoefficients(eta_qd=eta_qd, background_fraction=frac)
+        grid = default_grid(params, 801, reach=abs(params.delta))
+        value, d_g, d_omega = _detected_intensity(params, det, grid, jac=True)
+        assert np.array_equal(value, _detected_intensity(params, det, grid))
+
+        h = 2e-5 * params.g
+        fd_g = (_detected_intensity(params.with_(g=params.g + h), det, grid)
+                - _detected_intensity(params.with_(g=params.g - h), det, grid)
+                ) / (2.0 * h)
+        h = 2e-4
+        fd_omega = (_detected_intensity(params, det, grid + h)
+                    - _detected_intensity(params, det, grid - h)) / (2.0 * h)
+        for analytic, numeric in ((d_g, fd_g), (d_omega, fd_omega)):
+            scale = np.abs(analytic).max()
+            assert scale > 0.0
+            assert np.abs(analytic - numeric).max() <= 1e-7 * scale
 
 
 class TestRabiSplitting:
