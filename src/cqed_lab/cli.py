@@ -497,12 +497,13 @@ def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
-    """Extract g spectrally and dynamically, then compare the two."""
+    """Extract g from a spectrum and from a decay curve, each fitted
+    through the configured IRF of its domain, then compare the two."""
     log = _log("compare-g")
     p = cfg.params
     report: dict = {"format": "cqed-lab compare-g v1",
                     "strong_coupling_threshold_ueV":
-                        abs(p.kappa - p.gamma - 2.0 * p.gamma_dp) / 4.0}
+                        p.strong_coupling_threshold}
     failures = 0
 
     g_spec = None
@@ -516,7 +517,8 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
             fit = inference.fit_jc_cavity_spectrum(
                 sig, fixed={"kappa": p.kappa, "gamma": p.gamma,
                             "gamma_dp": p.gamma_dp, "delta": delta},
-                init_g=max(p.kappa / 4.0, 1.0), background_fraction=bg)
+                init_g=max(p.kappa / 4.0, 1.0), background_fraction=bg,
+                irf=cfg.irf("spectral", sig.step))
             g_spec = fit.estimates["g"]
             report["spectral"] = {"available": True, "g_ueV": g_spec,
                                   "g_stderr_ueV": fit.errors["g"],
@@ -630,15 +632,11 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     irf = cfg.irf("temporal", dt)
     fwhm = cfg.temporal_irf_fwhm or 0.0
     n_lead = int(math.ceil(max(6.0 * fwhm, 20.0 * dt) / dt))
-    n = int(math.ceil(t_max / dt))
-    grid = (np.arange(n_lead + n + 1) - n_lead) * dt
-
-    dense = model.propagate(params, t_max=t_max + dt,
-                            dt=min(model.default_time_step(params), dt))
-    flux = (params.gamma * dense.rho_qd + params.kappa * dense.rho_ca)
-    pos = np.clip(grid, 0.0, None)
-    vals = np.interp(pos, dense.times, flux)
-    vals[grid < 0.0] = 0.0
+    # the emitted flux, exact on the t >= 0 bins, after n_lead empty ones
+    traj = model.propagate(params, t_max=t_max, dt=dt)
+    flux = params.gamma * traj.rho_qd + params.kappa * traj.rho_ca
+    grid = (np.arange(n_lead + flux.size) - n_lead) * dt
+    vals = np.concatenate([np.zeros(n_lead), flux])
     sig = instrument.SampledSignal(grid, vals, "temporal")
     if irf is not None:
         sig = instrument.convolve(sig, irf)
@@ -650,13 +648,15 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
                        "gamma": params.gamma, "gamma_dp": params.gamma_dp},
         "mean_decay_rate_per_ns": model.mean_decay_rate(params),
     }
-    return grid, counts, truth
+    return instrument.SampledSignal(grid, counts, "temporal"), truth
 
 
 def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Generate noisy forward-model data files plus ground-truth sidecars."""
     log = _log("synthesize")
     seed = _resolve_seed(args, cfg)
+    # the decay curve first: a horizon it rejects leaves no files behind
+    decay, decay_truth = _synth_decay(cfg, np.random.default_rng((seed, 2)))
 
     for idx, delta in enumerate(cfg.deltas):
         rng = np.random.default_rng((seed, 1, idx))
@@ -682,14 +682,11 @@ def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.deltas:
         log.info("wrote %d synthetic spectra", len(cfg.deltas))
 
-    rng = np.random.default_rng((seed, 2))
-    grid, counts, truth = _synth_decay(cfg, rng)
-    sig = instrument.SampledSignal(grid, counts, "temporal")
-    instrument.write_signal(sig, os.path.join(out_dir, "decay.txt"),
+    instrument.write_signal(decay, os.path.join(out_dir, "decay.txt"),
                             metadata={"detuning_ueV":
                                       _fmt(cfg.decay_delta),
                                       "seed": str(seed)})
-    _write_json(os.path.join(out_dir, "decay_truth.json"), truth)
+    _write_json(os.path.join(out_dir, "decay_truth.json"), decay_truth)
     log.info("wrote synthetic decay curve at detuning %s ueV",
              _fmt(cfg.decay_delta))
     return 0

@@ -30,7 +30,7 @@ from .errors import FitError
 from .instrument import IrfKernel, SampledSignal, _aligned_offset
 from .model import SystemParams
 from .spectra import DetectionCoefficients, _detected_intensity
-from .units import HC_UEV_NM
+from .units import wavelength_to_energy
 
 __all__ = [
     "FitResult",
@@ -498,7 +498,7 @@ def extract_sweep_record(fit: FitResult, wavelength_nm: float,
     """Peak energies, Q factors, and relative areas from a pair fit."""
     if not fit.converged:
         raise FitError("cannot extract sweep quantities from an unconverged fit")
-    photon = HC_UEV_NM / wavelength_nm
+    photon = wavelength_to_energy(wavelength_nm)
     peaks = []
     for k in (1, 2):
         c = fit.estimates[f"center_{k}"]
@@ -656,15 +656,16 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
 
 def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
                            init_g: float,
-                           background_fraction: float = 0.0) -> FitResult:
+                           background_fraction: float = 0.0,
+                           irf: IrfKernel | None = None) -> FitResult:
     """Extract the coupling strength from a near-resonance cavity spectrum.
 
     All rates except g are held at their measured values
     (``fixed`` supplies kappa, gamma, gamma_dp, delta, in ueV); the free
     parameters are g plus an overall amplitude and center offset.  The
     forward model is the cavity-detected emission spectrum (eta_qd = 0) on
-    the data's own grid, with its time integrals in closed form at every
-    evaluation; no grid coverage is required.
+    the data's own grid, its time integrals in closed form, convolved with
+    ``irf`` (the spectrometer response) when one is given.
 
     The fit is flagged ``model-mismatch`` when its residual lies far above
     the noise of the data, i.e. when no g reproduces the measured line
@@ -700,7 +701,7 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
     peak0 = float(np.abs(model0).max()) or 1.0
     amp0 = float(np.abs(y).max()) / peak0
     p0 = [init_g, amp0, 0.0]
-    res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf])
+    res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf], irf=irf)
     out = _finish(res, ["g", "amplitude", "center_offset"])
     if not out.converged:
         raise FitError("coupling-strength fit did not converge")
@@ -750,13 +751,13 @@ def compare_coupling_estimates(g_spectral: float, g_dynamical: float,
                                gamma_dp: float) -> CouplingComparison:
     """Compare coupling strengths from spectra and from dynamics.
 
-    The strong/weak verdict uses the oscillatory-eigenvalue condition of
-    the coupled-mode matrix, g > |kappa - gamma - 2*gamma_dp| / 4, applied
-    with the shared rates.
+    The strong/weak verdict is g above the shared rates'
+    :attr:`SystemParams.strong_coupling_threshold`.
     """
     if g_spectral <= 0 or g_dynamical <= 0:
         raise ValueError("coupling strengths must be positive")
-    threshold = abs(kappa - gamma - 2.0 * gamma_dp) / 4.0
+    threshold = SystemParams(0.0, kappa, gamma,
+                             gamma_dp).strong_coupling_threshold
 
     def verdict(g):
         return "strong" if g > threshold else "weak"

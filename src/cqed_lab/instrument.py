@@ -20,7 +20,7 @@ import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
 from .errors import DeconvolutionError, GridError
-from .units import HC_UEV_NM
+from .units import wavelength_to_energy
 
 __all__ = [
     "SampledSignal",
@@ -52,7 +52,7 @@ def _check_uniform(grid: np.ndarray, what: str) -> float:
     d = np.diff(grid)
     if d.size == 0 or d.min() <= 0:
         raise GridError(f"{what}: grid must be strictly increasing")
-    step = float(d.mean())
+    step = float(grid[1] - grid[0])  # the step every .step property reports
     if np.ptp(d) > _GRID_JITTER * step:
         raise GridError(f"{what}: grid not uniform (step jitter "
                         f"{np.ptp(d) / step:.2e} exceeds {_GRID_JITTER:.0e})")
@@ -129,7 +129,7 @@ def irf_fwhm_from_q(wavelength_nm: float, q: float) -> float:
     """Spectral FWHM (ueV) of a resolution specified as a Q factor."""
     if wavelength_nm <= 0 or q <= 0:
         raise ValueError("wavelength and Q must be positive")
-    return (HC_UEV_NM / wavelength_nm) / q
+    return wavelength_to_energy(wavelength_nm) / q
 
 
 def gaussian_irf(fwhm: float, grid: np.ndarray,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cqed_lab import cli, propagate, read_signal, read_spectrum
-from oracles import simpson_integral
+from oracles import rk4_trajectory, simpson_integral
 
 SYSTEMS = {
     "mp": ("g_ueV = 22.6\nkappa_ueV = 110.0\ngamma_ueV = 1.3\n"
@@ -229,6 +229,53 @@ def test_compare_g_full_inversion_without_background_decay(tmp_path):
     assert result["spectral"]["available"]
 
 
+def test_compare_g_fits_spectrum_through_spectrometer_irf(tmp_path):
+    # noiseless data convolved with the spectrometer IRF: fitting through
+    # the same IRF returns the true g, below the strong-coupling threshold
+    config = tmp_path / "mp.ini"
+    write_config(config, "mp")
+    config.write_text(config.read_text()
+                      .replace(SYSTEMS["mp"][1], "0")
+                      .replace("noise = true", "noise = false"))
+    data, report = tmp_path / "data", tmp_path / "report"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--quiet"]) == 0
+    assert cli.main(["compare-g", "--config", str(config), "--out",
+                     str(report), "--quiet",
+                     "--spectrum", str(data / cli._spectrum_filename(0.0)),
+                     "--decay", str(data / "decay.txt")]) == 0
+    result = json.loads((report / "compare_g.json").read_text())
+    assert abs(result["spectral"]["g_ueV"] - 22.6) <= 1e-3
+    assert result["spectral"]["messages"] == []
+    assert result["comparison"]["spectral_verdict"] == "weak"
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_synthesized_decay_is_the_exact_flux(tmp_path, system):
+    # with no temporal IRF and no noise, decay.txt holds the emitted flux
+    # gamma rho_qd + kappa rho_ca on its own bins, scaled to peak_counts
+    config = tmp_path / f"{system}.ini"
+    write_config(config, system)
+    config.write_text(config.read_text()
+                      .replace(SYSTEMS[system][1], "0")
+                      .replace("temporal_irf_fwhm_ns = 0.05\n", "")
+                      .replace("noise = true", "noise = false"))
+    data = tmp_path / "data"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--quiet"]) == 0
+    truth = json.loads((data / "decay_truth.json").read_text())
+    assert truth["kind"] == "decay"
+    curve, _ = read_signal(data / "decay.txt")
+    lead = int(np.count_nonzero(curve.grid < 0.0))
+    assert not curve.values[:lead].any()
+    params = cli.load_config(str(config)).params
+    _, y = rk4_trajectory(params, curve.grid[-1], curve.step / 100)
+    flux = params.gamma * y[::100, 0] + params.kappa * y[::100, 1]
+    expected = 1e4 * flux / flux.max()
+    assert curve.values.size == lead + expected.size
+    assert np.abs(curve.values[lead:] - expected).max() <= 1e-8 * 1e4
+
+
 def test_compare_g_prints_its_table_only_without_quiet(tmp_path, capsys):
     config = tmp_path / "mp.ini"
     write_config(config, "mp")
@@ -410,6 +457,17 @@ def test_command_rejecting_its_config_leaves_no_directory(
                    if line.split(" = ")[0] not in dropped)
     assert_config_error(tmp_path, caplog, text, None, command=command,
                         files=[str(tmp_path / f) for f in files])
+
+
+def test_decay_horizon_under_ten_steps_writes_nothing(tmp_path, caplog):
+    path = tmp_path / "short.ini"
+    path.write_text(VALID.replace("t_max_ns = 2.0",
+                                  "t_max_ns = 0.01\ndt_ns = 0.002"))
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+    assert "shorter than 10 steps" in caplog.text
+    assert not out.exists()
 
 
 def test_range_sweep_loads_benchmark_detunings(tmp_path):

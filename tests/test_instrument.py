@@ -37,6 +37,23 @@ class TestIrfKernel:
         irf = IrfKernel.from_samples(g, counts)
         assert irf.weights.sum() * irf.step == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("decimals", [9, 10])
+    def test_rounded_grid_normalizes_with_its_own_step(self, tmp_path,
+                                                       decimals):
+        # a 1/300 ns grid written to 9-10 decimals jitters by 3e-7-3e-8,
+        # inside the uniformity limit; the kernel checks the step it was
+        # normalized with
+        g = np.round(kernel_grid(60, 1.0 / 300.0), decimals)
+        counts = gaussian_signal(g, 0.0, 0.02)
+        path = tmp_path / "irf.txt"
+        path.write_text("".join(f"{x!r} {y!r}\n" for x, y
+                                in zip(g.tolist(), counts.tolist())))
+        for irf in (IrfKernel.from_samples(g, counts, "temporal"),
+                    gaussian_irf(0.05, g, "temporal"),
+                    read_irf(path, "temporal")):
+            assert irf.weights.sum() * irf.step == pytest.approx(1.0,
+                                                                 abs=1e-12)
+
 
 class TestGaussianIrf:
     def test_second_moment(self):

@@ -86,9 +86,18 @@ class TestPropagate:
             emitted = params.gamma * i0[0] + params.kappa * i0[1]
             assert abs(emitted / HBAR_UEV_NS - 1.0) < 1e-6
 
-    def test_step_size_violation(self, micropillar):
-        with pytest.raises(GridError):
-            propagate(micropillar, t_max=10.0, dt=0.1)
+    @pytest.mark.parametrize("system, kwargs", [
+        ("micropillar", dict(t_max=10.0, dt=0.1)),
+        ("pc_cavity", dict(dt=2e-3)),
+    ])
+    def test_any_step_matches_fine_rk4(self, request, system, kwargs):
+        # steps far above the fastest rate's timescale are still exact
+        params = request.getfixturevalue(system)
+        traj = propagate(params, **kwargs)
+        _, y_o = rk4_trajectory(params, traj.times[-1], traj.dt / 100)
+        exact = np.column_stack([traj.rho_qd, traj.rho_ca,
+                                 traj.rho_po.real, traj.rho_po.imag])
+        assert np.abs(exact - y_o[::100]).max() < 1e-8 * traj.rho_qd.max()
 
     def test_horizon_shorter_than_ten_steps(self, micropillar):
         with pytest.raises(GridError):
