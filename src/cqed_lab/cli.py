@@ -655,8 +655,11 @@ def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Generate noisy forward-model data files plus ground-truth sidecars."""
     log = _log("synthesize")
     seed = _resolve_seed(args, cfg)
-    # the decay curve first: a horizon it rejects leaves no files behind
+    # the decay curve and every grid check first: a rejected run writes nothing
     decay, decay_truth = _synth_decay(cfg, np.random.default_rng((seed, 2)))
+    grid = cfg.spectrum_grid()
+    for delta in cfg.deltas:
+        spectra._check_coverage(cfg.params.with_(delta=delta), cfg.det, grid)
 
     for idx, delta in enumerate(cfg.deltas):
         rng = np.random.default_rng((seed, 1, idx))
@@ -758,7 +761,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.out_dir
         if not os.path.isdir(out_dir):
-            os.makedirs(out_dir)
+            try:
+                os.makedirs(out_dir)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory "
+                                  f"{out_dir}: {exc.strerror}") from None
             created = out_dir
         return args.func(args, cfg, out_dir)
     except CqedError as exc:

@@ -11,8 +11,9 @@ finite raises ``FitError``.  The fit stops at a trial step shorter than
 1e-8 (1e-8 + |x|), a free gradient component below 1e-10, a cost falling
 by less than 1e-14 of itself, or after 500 residual evaluations.  The
 result's ``status`` is 0 when the evaluation limit stopped it and positive
-otherwise (the fitters report it as ``converged``); its ``active_mask`` is
--1 for parameters on their lower bound, or within 1e-8 of it, and 0
+otherwise; each of the three fitters raises ``FitError`` on 0, so every
+``FitResult`` they return is ``converged``.  The result's ``active_mask``
+is -1 for parameters on their lower bound, or within 1e-8 of it, and 0
 elsewhere.  Every model carries its analytic Jacobian, built only where
 the solver needs one: the Lorentzian pair and the multiexponential in
 closed form, the emitter-cavity spectrum through the derivatives of its
@@ -28,19 +29,16 @@ import numpy as np
 
 from .errors import FitError
 from .instrument import IrfKernel, SampledSignal, _aligned_offset
-from .model import SystemParams
+from .model import SystemParams, quality_factor
 from .spectra import DetectionCoefficients, _detected_intensity
-from .units import wavelength_to_energy
 
 __all__ = [
     "FitResult",
     "LorentzianPairParams",
-    "DecayModelParams",
     "SweepRecord",
     "CouplingClassification",
     "CouplingComparison",
     "lorentzian",
-    "decay_model",
     "fit_lorentzian_pair",
     "seed_lorentzian_pair",
     "extract_sweep_record",
@@ -110,25 +108,6 @@ class LorentzianPairParams:
             raise ValueError("heights must be non-negative")
 
 
-@dataclass(frozen=True)
-class DecayModelParams:
-    """Multiexponential decay: rates (ns^-1, descending) and amplitudes."""
-
-    rates: tuple
-    amplitudes: tuple
-    baseline: float = 0.0
-
-    def __post_init__(self):
-        if len(self.rates) != len(self.amplitudes) or not self.rates:
-            raise ValueError("rates and amplitudes must pair up")
-        if min(self.rates) <= 0:
-            raise ValueError("rates must be strictly positive")
-        if list(self.rates) != sorted(self.rates, reverse=True):
-            raise ValueError("rates must be sorted descending")
-        if min(self.amplitudes) < 0:
-            raise ValueError("amplitudes must be non-negative")
-
-
 @dataclass
 class SweepRecord:
     """Per-detuning quantities extracted from a two-peak spectral fit.
@@ -185,16 +164,6 @@ def lorentzian(x: np.ndarray, center: float, fwhm: float,
     """Lorentzian with peak value ``height``; area = (pi/2) height fwhm."""
     q = fwhm / 2.0
     return height * q * q / ((x - center) ** 2 + q * q)
-
-
-def decay_model(t: np.ndarray, params: DecayModelParams) -> np.ndarray:
-    """Multiexponential decay switched on at t=0, plus a flat baseline."""
-    t = np.asarray(t, dtype=float)
-    out = np.full(t.size, params.baseline)
-    on = t >= 0.0
-    for r, a in zip(params.rates, params.amplitudes):
-        out[on] += a * np.exp(-r * t[on])
-    return out
 
 
 @dataclass
@@ -338,15 +307,12 @@ def _finish(res, names) -> FitResult:
     else:
         cov = np.linalg.inv(jtj) * (ssr / dof)
     err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    converged = res.status > 0
-    if not converged:
-        messages.append("max-evaluations-reached")
     return FitResult(
         estimates=dict(zip(names, (float(v) for v in res.x))),
         errors=dict(zip(names, (float(e) for e in err))),
         residual_sum=ssr,
         iterations=int(res.nfev),
-        converged=converged,
+        converged=res.status > 0,
         messages=tuple(messages),
     )
 
@@ -406,8 +372,9 @@ def _lorentzians(x: np.ndarray, p, jac: bool = False):
         denom = dx * dx + q * q
         model += h * q * q / denom
         if jac:
-            d[:, 3 * k] = 2.0 * h * q * q * dx / denom ** 2
-            d[:, 3 * k + 1] = h * q * dx * dx / denom ** 2
+            denom2 = denom ** 2
+            d[:, 3 * k] = 2.0 * h * q * q * dx / denom2
+            d[:, 3 * k + 1] = h * q * dx * dx / denom2
             d[:, 3 * k + 2] = q * q / denom
     return (model, d) if jac else model
 
@@ -498,7 +465,6 @@ def extract_sweep_record(fit: FitResult, wavelength_nm: float,
     """Peak energies, Q factors, and relative areas from a pair fit."""
     if not fit.converged:
         raise FitError("cannot extract sweep quantities from an unconverged fit")
-    photon = wavelength_to_energy(wavelength_nm)
     peaks = []
     for k in (1, 2):
         c = fit.estimates[f"center_{k}"]
@@ -514,7 +480,8 @@ def extract_sweep_record(fit: FitResult, wavelength_nm: float,
         detuning=detuning,
         energy_qd=c_qd, energy_ca=c_ca,
         fwhm_qd=w_qd, fwhm_ca=w_ca,
-        q_qd=photon / w_qd, q_ca=photon / w_ca,
+        q_qd=quality_factor(wavelength_nm, w_qd),
+        q_ca=quality_factor(wavelength_nm, w_ca),
         rel_area_qd=a_qd / total, rel_area_ca=a_ca / total,
         source=source)
 
@@ -728,14 +695,16 @@ def classify_coupling(records: list[SweepRecord]) -> CouplingClassification:
     Anti-crossing requires the minimum fitted peak separation across the
     sweep to exceed the threshold, half the mean fitted cavity FWHM.  A
     cavity line fitted with zero area has no width the data constrain, so
-    it is left out of that mean.  Needs at least five records covering both
-    detuning signs and one cavity line of nonzero area.
+    it is left out of that mean.  Needs at least five records, finite
+    detunings of both signs among them (a record read without a detuning
+    carries NaN) and one cavity line of nonzero area.
     """
     if len(records) < 5:
         raise ValueError("need at least five sweep records")
-    detunings = [r.detuning for r in records]
-    if min(detunings) >= 0 or max(detunings) <= 0:
-        raise ValueError("sweep must cover both detuning signs")
+    known = [r.detuning for r in records if math.isfinite(r.detuning)]
+    if not known or min(known) >= 0 or max(known) <= 0:
+        raise ValueError("sweep must cover both detuning signs; "
+                         f"{len(known)} of {len(records)} detunings known")
     widths = [r.fwhm_ca for r in records if r.rel_area_ca > 0]
     if not widths:
         raise ValueError("every fitted cavity line has zero area")

@@ -20,7 +20,8 @@ and those follow from the constant generator M in closed form:
 
 (:func:`decay_moments`).  Both need every mode of M to decay; a generator
 with a non-decaying mode (g = 0 and gamma = 0 leave the emitter population
-constant) raises :class:`TruncationError`.
+constant) raises :class:`TruncationError`.  The decay rates the fits
+invert for g and the Q factor of a line close the module.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ __all__ = [
     "SystemParams",
     "Trajectory",
     "propagate",
-    "rabi_oracle",
     "weak_coupling_rate",
     "decay_moments",
     "mean_decay_rate",
     "coupling_from_rate",
-    "purcell_enhancement",
     "quality_factor",
     "generator_matrix",
     "default_time_step",
@@ -238,13 +237,6 @@ def propagate(params: SystemParams, t_max: float | None = None,
                       rho_po=y[2] + 1j * y[3])
 
 
-def rabi_oracle(g: float, t) -> np.ndarray | float:
-    """Closed-form emitter population cos^2(g t / hbar) for zero dissipation."""
-    if g < 0:
-        raise ValueError("g must be non-negative")
-    return np.cos(g * np.asarray(t) / HBAR_UEV_NS) ** 2
-
-
 def weak_coupling_rate(params: SystemParams) -> float:
     """Adiabatic-elimination decay rate of the emitter, ns^-1.
 
@@ -309,13 +301,6 @@ def coupling_from_rate(target: float, params: SystemParams,
                 "which no g reaches")
         g_sq *= params.kappa / (params.kappa + params.gamma - 2.0 * gamma_ueV)
     return math.sqrt(g_sq)
-
-
-def purcell_enhancement(rate_on: float, rate_background: float) -> float:
-    """Ratio of the cavity-enhanced decay rate to the background rate."""
-    if rate_on <= 0 or rate_background <= 0:
-        raise ValueError("rates must be positive")
-    return rate_on / rate_background
 
 
 def quality_factor(wavelength_nm: float, kappa_uev: float) -> float:

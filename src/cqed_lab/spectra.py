@@ -35,7 +35,6 @@ __all__ = [
     "resolvent_transform",
     "emission_spectrum",
     "default_grid",
-    "background_fraction",
     "rabi_splitting",
     "write_spectrum",
     "read_spectrum",
@@ -133,14 +132,14 @@ def _correlation_generator(params: SystemParams) -> np.ndarray:
     ])
 
 
-def _required_span(params: SystemParams,
-                   det: DetectionCoefficients) -> tuple[float, float]:
-    """Offset range (ueV) that holds every line of the spectrum.
+def _check_coverage(params: SystemParams, det: DetectionCoefficients,
+                    grid: np.ndarray) -> None:
+    """Raise ``GridError`` unless ``grid`` holds every line of the spectrum.
 
     Each eigenvalue lam of the correlation generator is a (dressed) line at
     hbar*Im(lam) with half-width -hbar*Re(lam); a background pedestal adds
-    the bare cavity line at -delta with half-width kappa/2.  The range
-    reaches _GRID_HALF_WIDTHS half-widths past every line on both sides.
+    the bare cavity line at -delta with half-width kappa/2.  The grid must
+    reach _GRID_HALF_WIDTHS half-widths past every line on both sides.
     """
     lam = np.linalg.eigvals(_correlation_generator(params)) * HBAR_UEV_NS
     centers, halves = list(lam.imag), list(-lam.real)
@@ -149,7 +148,11 @@ def _required_span(params: SystemParams,
         halves.append(params.kappa / 2.0)
     lo = min(c - _GRID_HALF_WIDTHS * h for c, h in zip(centers, halves))
     hi = max(c + _GRID_HALF_WIDTHS * h for c, h in zip(centers, halves))
-    return lo, hi
+    if grid[0] > lo or grid[-1] < hi:
+        raise GridError(
+            f"grid [{grid[0]:g}, {grid[-1]:g}] ueV too narrow; need "
+            f"[{lo:.6g}, {hi:.6g}] to reach {_GRID_HALF_WIDTHS:g} "
+            "half-widths past every spectral line")
 
 
 def resolvent_transform(matrix: np.ndarray, v0: np.ndarray,
@@ -177,17 +180,6 @@ def default_grid(params: SystemParams, n: int = 4096,
     span = 20.0 * max(params.kappa, params.gamma + 2.0 * params.gamma_dp,
                       2.0 * params.g) + reach
     return np.linspace(-span, span, n)
-
-
-def background_fraction(g2_zero: float) -> float:
-    """Cavity-feeding background fraction implied by a measured g2(0).
-
-    For a thermal photon background the fraction of the cavity intensity
-    not coming from the single emitter is g2(0) / (2 - g2(0)).
-    """
-    if not 0.0 <= g2_zero < 2.0:
-        raise ValueError("g2(0) must lie in [0, 2)")
-    return g2_zero / (2.0 - g2_zero)
 
 
 def emission_spectrum(params: SystemParams,
@@ -231,12 +223,7 @@ def emission_spectrum(params: SystemParams,
     if grid is None:
         grid = default_grid(params)
     grid = np.asarray(grid, dtype=float)
-    lo_need, hi_need = _required_span(params, det)
-    if grid[0] > lo_need or grid[-1] < hi_need:
-        raise GridError(
-            f"grid [{grid[0]:g}, {grid[-1]:g}] ueV too narrow; need "
-            f"[{lo_need:.6g}, {hi_need:.6g}] to reach {_GRID_HALF_WIDTHS:g} "
-            "half-widths past every spectral line")
+    _check_coverage(params, det, grid)
     intensity = _detected_intensity(params, det, grid)
     return Spectrum(omega=grid, intensity=intensity)
 

@@ -2,8 +2,8 @@
 
 All stored energies and energy-equivalent rates are in microelectronvolts
 (ueV); times are in nanoseconds (ns); wavelengths in nanometers (nm).
-Angular rates in ns^-1 appear only at integration boundaries, obtained by
-dividing ueV values by HBAR_UEV_NS.
+Angular rates in ns^-1 appear only at integration boundaries, where the
+code divides ueV values by HBAR_UEV_NS.
 """
 
 from __future__ import annotations
@@ -13,16 +13,6 @@ HBAR_UEV_NS = 0.6582119569
 
 HC_UEV_NM = 1.23984198e9
 """h*c in ueV*nm, for wavelength <-> photon-energy conversion."""
-
-
-def energy_to_rate(energy_uev: float) -> float:
-    """Convert an energy-equivalent rate (ueV) to an angular rate (ns^-1)."""
-    return energy_uev / HBAR_UEV_NS
-
-
-def rate_to_energy(rate_per_ns: float) -> float:
-    """Convert an angular rate (ns^-1) to its energy equivalent (ueV)."""
-    return rate_per_ns * HBAR_UEV_NS
 
 
 def wavelength_to_energy(wavelength_nm: float) -> float:

@@ -5,6 +5,7 @@ oracle is a plain fixed-step RK4 loop on the equations of motion (for these
 linear equations one step is a fixed matrix, built once), and the
 spectrum oracle evaluates the half-range Fourier transform of the
 correlation decay by dense Simpson quadrature carried by a single FFT.
+The lossless Rabi oracle is the closed form cos^2(g t / hbar).
 """
 
 import numpy as np
@@ -49,6 +50,11 @@ def rk4_trajectory(params, t_max, dt):
         y = step @ y
         out[i + 1] = y
     return np.arange(n + 1) * dt, out
+
+
+def rabi_oracle(g, t):
+    """Closed-form emitter population cos^2(g t / hbar) for zero dissipation."""
+    return np.cos(g * np.asarray(t) / HBAR) ** 2
 
 
 def fft_half_range_spectrum(matrix, v0, omega_span_uev, channel_weight,

@@ -470,6 +470,33 @@ def test_decay_horizon_under_ten_steps_writes_nothing(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_late_grid_error_writes_nothing(tmp_path, caplog):
+    # delta = 300 puts the cavity line past a 500 ueV grid; the three
+    # detunings before it fit
+    path = tmp_path / "narrow.ini"
+    path.write_text(VALID.replace("deltas_ueV = -50, 0, 50",
+                                  "deltas_ueV = -50, 0, 50, 300")
+                    .replace("grid_span_ueV = 1500", "grid_span_ueV = 500"))
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+    assert "too narrow" in caplog.text
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, caplog):
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert cli.main(["simulate-sweep", "--config", str(path), "--out",
+                     str(out), "--quiet"]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and str(out) in errors[0], errors
+    assert out.read_text() == "keep\n"
+
+
 def test_range_sweep_loads_benchmark_detunings(tmp_path):
     path = tmp_path / "pc.ini"
     path.write_text(VALID.replace(

@@ -7,10 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 import cqed_lab.inference
-from cqed_lab import (DecayModelParams, FitError, IrfKernel,
-                      LorentzianPairParams, SampledSignal, SweepRecord,
-                      SystemParams, classify_coupling,
-                      compare_coupling_estimates, convolve, decay_model,
+from cqed_lab import (FitError, IrfKernel, LorentzianPairParams,
+                      SampledSignal, SweepRecord, SystemParams,
+                      classify_coupling, compare_coupling_estimates, convolve,
                       emission_spectrum, extract_sweep_record, fit_decay,
                       fit_jc_cavity_spectrum, fit_lorentzian_pair, gaussian_irf,
                       irf_fwhm_from_q, lorentzian, rabi_splitting,
@@ -28,9 +27,10 @@ def pair_signal(x, init: LorentzianPairParams, baseline=0.0):
 def make_decay(rates, amplitudes, baseline=0.0, t_max=12.0, dt=0.004,
                irf_fwhm=0.05, peak=1e4, rng=None):
     t = np.arange(-1.0, t_max, dt)
-    truth = DecayModelParams(rates=tuple(rates), amplitudes=tuple(amplitudes),
-                             baseline=baseline)
-    y = decay_model(t, truth)
+    y = np.full(t.size, baseline)
+    on = t >= 0.0
+    for r, a in zip(rates, amplitudes):
+        y[on] += a * np.exp(-r * t[on])
     sig = SampledSignal(t, y, "temporal")
     irf = None
     if irf_fwhm:
@@ -417,6 +417,20 @@ class TestClassifyCoupling:
             classify_coupling(recs)
         with pytest.raises(ValueError):
             classify_coupling(recs[:3])
+
+    def test_unknown_detunings_do_not_cover_both_signs(self):
+        # fit-spectra gives a file without a detuning NaN, which compares
+        # false against zero either way
+        recs = self.coupled_mode_records(92.4, 195.0,
+                                         np.linspace(-300.0, 300.0, 6))
+        for r in recs:
+            r.detuning = math.nan
+        with pytest.raises(ValueError, match="both detuning signs"):
+            classify_coupling(recs)
+        recs = self.coupled_mode_records(50.0, 100.0,
+                                         [math.nan, 10.0, 20.0, 30.0, 40.0])
+        with pytest.raises(ValueError, match="both detuning signs"):
+            classify_coupling(recs)
 
     def test_label_invariant_under_energy_offset(self):
         recs = self.coupled_mode_records(92.4, 195.0,

@@ -6,10 +6,9 @@ import pytest
 from cqed_lab import (HBAR_UEV_NS, GridError, SystemParams, TruncationError,
                       correlation_kernel, coupling_from_rate, decay_moments,
                       default_time_step, emission_spectrum, mean_decay_rate,
-                      propagate, purcell_enhancement, quality_factor,
-                      rabi_oracle, weak_coupling_rate)
+                      propagate, quality_factor, weak_coupling_rate)
 from cqed_lab.model import _expm, generator_matrix
-from oracles import rk4_trajectory, simpson_integral
+from oracles import rabi_oracle, rk4_trajectory, simpson_integral
 
 
 def random_params(rng):
@@ -318,22 +317,6 @@ class TestCouplingFromRate:
 
 
 class TestScalarOps:
-    def test_purcell_paper_values(self):
-        assert purcell_enhancement(18.5, 0.39) == pytest.approx(47.4, abs=0.05)
-
-    def test_purcell_identity_and_errors(self):
-        assert purcell_enhancement(3.3, 3.3) == 1.0
-        with pytest.raises(ValueError):
-            purcell_enhancement(0.0, 1.0)
-        with pytest.raises(ValueError):
-            purcell_enhancement(1.0, -2.0)
-
-    def test_purcell_micropillar_arithmetic(self):
-        assert purcell_enhancement(17.7, 1.3 / HBAR_UEV_NS) == \
-            pytest.approx(17.7 * HBAR_UEV_NS / 1.3, rel=1e-12)
-        assert purcell_enhancement(17.7, 1.3 / HBAR_UEV_NS) == \
-            pytest.approx(8.96, abs=0.01)
-
     def test_quality_factor_paper_value(self):
         assert quality_factor(952.0, 195.0) == pytest.approx(6690.0, rel=0.005)
 

@@ -7,10 +7,9 @@ import pytest
 
 from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       PeakError, SampledSignal, Spectrum, SystemParams,
-                      background_fraction, correlation_kernel, default_grid,
-                      emission_spectrum, lorentzian, propagate,
-                      rabi_splitting, read_spectrum, resolvent_transform,
-                      write_signal, write_spectrum)
+                      correlation_kernel, default_grid, emission_spectrum,
+                      lorentzian, propagate, rabi_splitting, read_spectrum,
+                      resolvent_transform, write_signal, write_spectrum)
 from cqed_lab.spectra import _detected_intensity, _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
@@ -29,21 +28,6 @@ class TestDetectionCoefficients:
             DetectionCoefficients(background_fraction=1.0)
         with pytest.raises(ValueError):
             DetectionCoefficients(background_fraction=-0.1)
-
-
-class TestBackgroundFraction:
-    def test_paper_value_four_digits(self):
-        assert background_fraction(0.345) == pytest.approx(0.2085, abs=5e-5)
-
-    def test_limits(self):
-        assert background_fraction(0.0) == 0.0
-        assert background_fraction(1.0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            background_fraction(2.0)
-        with pytest.raises(ValueError):
-            background_fraction(-0.01)
 
 
 class TestCorrelationKernel:
