@@ -7,7 +7,8 @@ of the key names).  Only ``synthesize`` draws random numbers; its seed is
 ``--seed``, else ``[output] seed``, else 0.  Outputs are written atomically
 and deterministically: a fixed config and seed reproduce byte-identical
 files.  ``_SCHEMA`` is the reference for the config: every section and key
-(with its unit), what its value must be, and its default.
+(with its unit), what its value must be, and its default.  IRF files are
+read once, at load, so a run applies one kernel; a bad one exits 2.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def _choice(*names):
     return _parser(str, names.__contains__)
 
 
-# Every config key: section, key, ExperimentConfig field (or the
-# SystemParams / DetectionCoefficients / sweep / spectrometer value that
-# load_config combines into one), parser, what the value must be, default.
+# Every config key: section, key, ExperimentConfig field (or the value
+# load_config turns into one: SystemParams, DetectionCoefficients, sweep,
+# spectrometer Q, IRF file), parser, what the value must be, default.
 _SCHEMA = (
     ("system", "g_ueV", "g", _number, _NUM, REQUIRED),
     ("system", "kappa_ueV", "kappa", _number, _NUM, REQUIRED),
@@ -163,9 +164,9 @@ class ExperimentConfig:
     grid_span: float | None
     grid_points: int
     convolve_irf: bool
-    spectral_irf_file: str | None
+    spectral_irf: instrument.IrfKernel | None
     spectral_irf_fwhm: float | None
-    temporal_irf_file: str | None
+    temporal_irf: instrument.IrfKernel | None
     temporal_irf_fwhm: float | None
     decay_delta: float
     decay_t_max: float | None
@@ -187,17 +188,15 @@ class ExperimentConfig:
         return spectra.default_grid(self.params, self.grid_points, reach)
 
     def irf(self, domain: str, step: float) -> instrument.IrfKernel | None:
-        """The ``domain`` IRF ("spectral" in ueV or "temporal" in ns) from
-        its file, else as a Gaussian on a grid commensurate with ``step``."""
-        path = getattr(self, f"{domain}_irf_file")
+        """The ``domain`` IRF ("spectral", ueV, or "temporal", ns): its file's
+        kernel, read at load, else a Gaussian commensurate with ``step``."""
+        kernel = getattr(self, f"{domain}_irf")
         fwhm = getattr(self, f"{domain}_irf_fwhm")
-        if path is not None:
-            return instrument.read_irf(path, domain)
-        if fwhm is not None:
+        if kernel is None and fwhm is not None:
             half = int(math.ceil(4.0 * fwhm / step))
             return instrument.gaussian_irf(
                 fwhm, np.arange(-half, half + 1) * step, domain)
-        return None
+        return kernel
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -287,6 +286,14 @@ def load_config(path: str) -> ExperimentConfig:
         if len(given) > 1:
             fail("instrument", given[1], f"cannot be combined with {given[0]}")
 
+    for domain in ("spectral", "temporal"):
+        key = f"{domain}_irf_file"
+        try:
+            v[f"{domain}_irf"] = v[key] and instrument.read_irf(v[key], domain)
+        except (CqedError, ValueError, OSError) as exc:
+            fail("instrument", key, f"names an unusable IRF: {exc}")
+        del v[key]
+
     spectral_q = v.pop("spectrometer_q")
     if spectral_q is not None:
         if v["wavelength_nm"] is None:
@@ -295,7 +302,7 @@ def load_config(path: str) -> ExperimentConfig:
         v["spectral_irf_fwhm"] = instrument.irf_fwhm_from_q(
             v["wavelength_nm"], spectral_q)
 
-    if v["spectral_irf_file"] is None and v["spectral_irf_fwhm"] is None:
+    if v["spectral_irf"] is None and v["spectral_irf_fwhm"] is None:
         for section, key, name, *_ in _SCHEMA:
             if name in ("convolve_irf", "fit_convolve_irf") and v[name]:
                 fail(section, key, "needs a spectral IRF in [instrument]")
@@ -510,7 +517,9 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     if args.spectrum:
         try:
             spec, meta = spectra.read_spectrum(args.spectrum)
-            delta = float(meta.get("detuning_ueV", "0") or 0.0)
+            if not meta.get("detuning_ueV"):
+                raise ValueError(f"{args.spectrum}: no detuning_ueV given")
+            delta = float(meta["detuning_ueV"])
             bg = float(meta.get("background_fraction", "0") or 0.0)
             sig = instrument.SampledSignal(spec.omega, spec.intensity,
                                            "spectral")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .instrument import IrfKernel, SampledSignal, _aligned_offset
+from .instrument import IrfKernel, SampledSignal, _aligned_convolution
 from .model import SystemParams, quality_factor
 from .spectra import DetectionCoefficients, _detected_intensity
 
@@ -324,24 +324,13 @@ def _solve(model, data: SampledSignal, p0, lower,
     ``model(x, p)`` returns the model values on the grid ``x``, and
     ``model(x, p, jac=True)`` the values and their analytic Jacobian as a
     pair; it is called so only where the solver needs the Jacobian.  With
-    ``irf`` the model is evaluated on the data grid extended by the kernel
-    length at both ends and convolved back onto the data grid; with
+    ``irf`` the model is evaluated on the data grid widened by the kernel's
+    reach and convolved back onto it as ``instrument.convolve`` does; with
     ``sigma`` each residual is divided by it.  Upper bounds are infinite.
     """
-    x, y = data.grid, data.values
-    xe, conv = x, (lambda v: v)
+    y, xe, conv = data.values, data.grid, (lambda v: v)
     if irf is not None:
-        h = data.step
-        pad = irf.weights.size
-        start = pad - _aligned_offset(data, irf)
-        xe = np.concatenate([x[0] - h * np.arange(pad, 0, -1), x,
-                             x[-1] + h * np.arange(1, pad + 1)])
-        weights = irf.weights * h
-
-        def conv(v):
-            if v.ndim == 2:
-                return np.column_stack([conv(col) for col in v.T])
-            return np.convolve(v, weights)[start:start + x.size]
+        xe, _, conv = _aligned_convolution(data, irf)
 
     def residual(p):
         r = conv(model(xe, p)) - y

@@ -1,10 +1,10 @@
 """Instrument response kernels, convolution, and Fourier deconvolution.
 
-Spectrometer kernels live on spectral grids (ueV), detector kernels on
-temporal grids (ns).  Deconvolution divides in the Fourier domain inside a
-low-pass band with a raised-cosine edge; the band defaults to the region
-where the kernel transform keeps at least 10% of its peak magnitude, which
-keeps the division well conditioned in the presence of noise.
+A kernel is a signal of weights on a spectral (ueV) or temporal (ns) grid,
+applied by one routine in ``convolve`` and in the IRF-aware fits.
+Deconvolution divides in the Fourier domain inside a low-pass band with a
+raised-cosine edge; the band defaults to where the kernel transform keeps
+at least 10% of its peak, so the division stays well conditioned in noise.
 """
 
 from __future__ import annotations
@@ -81,48 +81,29 @@ class SampledSignal:
         return float(self.grid[1] - self.grid[0])
 
 
-@dataclass
-class IrfKernel:
-    """Normalized instrument response on its own uniform grid.
-
-    Weights are non-negative and integrate (sum times step) to 1.
-    """
-
-    grid: np.ndarray
-    weights: np.ndarray
-    domain: str = "spectral"
+class IrfKernel(SampledSignal):
+    """Normalized instrument response: a signal on its own uniform grid
+    whose values are non-negative and integrate (sum times step) to 1."""
 
     def __post_init__(self):
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"domain must be one of {_DOMAINS}")
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.grid.shape != self.weights.shape:
-            raise GridError("grid and weights must have matching shape")
-        _check_uniform(self.grid, "IRF")
-        if self.weights.min() < 0:
-            raise ValueError("IRF weights must be non-negative")
-        total = self.weights.sum() * self.step
+        super().__post_init__()
+        if self.values.min() < 0:
+            raise ValueError("IRF values must be non-negative")
+        total = self.values.sum() * self.step
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"IRF weights integrate to {total:.12g}, not 1; "
+            raise ValueError(f"IRF values integrate to {total:.12g}, not 1; "
                              "use IrfKernel.from_samples to renormalize")
-
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
 
     @classmethod
     def from_samples(cls, grid, counts, domain: str = "spectral") -> "IrfKernel":
         """Build a kernel from raw counts, rejecting negatives, renormalizing."""
-        grid = np.asarray(grid, dtype=float)
-        counts = np.asarray(counts, dtype=float)
-        if counts.min() < 0:
+        raw = SampledSignal(grid, counts, domain)
+        if raw.values.min() < 0:
             raise ValueError("measured IRF contains negative counts")
-        step = _check_uniform(grid, "IRF")
-        total = counts.sum() * step
+        total = raw.values.sum() * raw.step
         if total <= 0:
             raise ValueError("measured IRF carries no weight")
-        return cls(grid=grid, weights=counts / total, domain=domain)
+        return cls(grid=raw.grid, values=raw.values / total, domain=domain)
 
 
 def irf_fwhm_from_q(wavelength_nm: float, q: float) -> float:
@@ -147,7 +128,7 @@ def gaussian_irf(fwhm: float, grid: np.ndarray,
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     center = grid[grid.size // 2]
     w = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
-    return IrfKernel(grid=grid, weights=w / (w.sum() * step), domain=domain)
+    return IrfKernel(grid=grid, values=w / (w.sum() * step), domain=domain)
 
 
 def _aligned_offset(signal: SampledSignal, irf: IrfKernel) -> int:
@@ -165,30 +146,46 @@ def _aligned_offset(signal: SampledSignal, irf: IrfKernel) -> int:
     return k0_int
 
 
+def _aligned_convolution(signal: SampledSignal, irf: IrfKernel):
+    """The one discrete convolution with an aligned kernel.
+
+    Output sample i sums input samples i - k0 - j over the m kernel samples
+    j (k0: the kernel's offset in steps).  Returns ``signal``'s grid widened
+    by the padding it needs, (max(0, k0 + m - 1), max(0, -k0)) samples,
+    that padding, and ``conv``, which maps values on the widened grid (2-D:
+    each column) to their convolution on ``signal``'s grid.
+    """
+    k0 = _aligned_offset(signal, irf)
+    h, x, m = signal.step, signal.grid, irf.values.size
+    pad = max(0, k0 + m - 1), max(0, -k0)
+    wide = np.concatenate([x[0] - h * np.arange(pad[0], 0, -1), x,
+                           x[-1] + h * np.arange(1, pad[1] + 1)])
+    start = pad[0] - k0 - (m - 1)
+
+    def conv(v):
+        cols = [np.convolve(u, irf.values, "valid")[start:start + x.size] * h
+                for u in np.atleast_2d(v.T)]
+        return cols[0] if v.ndim == 1 else np.column_stack(cols)
+
+    return wide, pad, conv
+
+
 def convolve(signal: SampledSignal, irf: IrfKernel) -> SampledSignal:
     """Discrete linear convolution of a signal with an IRF, same grid.
 
     Area-preserving for signals with compact support inside the grid;
     values needed beyond the grid edges are treated as zero.
     """
-    k0 = _aligned_offset(signal, irf)
-    h = signal.step
-    full = np.convolve(signal.values, irf.weights) * h
-    n = signal.values.size
-    out = np.zeros(n)
-    lo = max(0, k0)
-    hi = min(n, full.size + k0)
-    if lo < hi:
-        out[lo:hi] = full[lo - k0:hi - k0]
-    return SampledSignal(grid=signal.grid.copy(), values=out,
-                         domain=signal.domain)
+    _, (left, right), conv = _aligned_convolution(signal, irf)
+    v = np.concatenate([np.zeros(left), signal.values, np.zeros(right)])
+    return SampledSignal(signal.grid.copy(), conv(v), signal.domain)
 
 
 def _kernel_transform(irf: IrfKernel, n_fft: int, k0: int, h: float):
     """rfft of the kernel embedded circularly at its sample offset."""
     k = np.zeros(n_fft)
-    idx = (np.arange(irf.weights.size) + k0) % n_fft
-    np.add.at(k, idx, irf.weights * h)
+    idx = (np.arange(irf.values.size) + k0) % n_fft
+    np.add.at(k, idx, irf.values * h)
     return rfft(k)
 
 
@@ -226,7 +223,7 @@ def deconvolve(signal: SampledSignal, irf: IrfKernel,
     k0 = _aligned_offset(signal, irf)
     h = signal.step
     n = signal.values.size
-    m = irf.weights.size
+    m = irf.values.size
     n_fft = 1 << (n + m - 1).bit_length()
 
     if band_limit is None:

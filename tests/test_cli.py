@@ -8,7 +8,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from cqed_lab import cli, propagate, read_signal, read_spectrum
+from cqed_lab import (cli, default_grid, propagate, read_signal,
+                      read_spectrum, write_signal)
 from oracles import rk4_trajectory, simpson_integral
 
 SYSTEMS = {
@@ -31,6 +32,28 @@ def write_config(path, system, extra=""):
         "[instrument]\nspectrometer_q = 40000.0\n"
         "temporal_irf_fwhm_ns = 0.05\n\n"
         "[synthesize]\npeak_counts = 10000.0\nnoise = true\n" + extra)
+
+
+@pytest.fixture(scope="module")
+def mp_synth(tmp_path_factory):
+    """The MP config and its ``synthesize --seed 1`` output directory."""
+    root = tmp_path_factory.mktemp("mp_synth")
+    config = root / "mp.ini"
+    write_config(config, "mp")
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(root / "data"), "--seed", "1", "--quiet"]) == 0
+    return config, root / "data"
+
+
+def without_detuning(source, dest, value=None):
+    """Copy a data file, dropping its detuning line or, with ``value``,
+    replacing what it says."""
+    lines = source.read_text().splitlines(keepends=True)
+    dest.write_text("".join(
+        line if not line.startswith("# detuning_ueV") else
+        "" if value is None else f"# detuning_ueV = {value}\n"
+        for line in lines))
+    return dest
 
 
 def sampled_rate(params):
@@ -321,6 +344,157 @@ def test_fit_decay_matches_compare_g_fast_rate(tmp_path, system):
     assert json.loads((again / "decay_fit.json").read_text()) == fit
 
 
+def test_fit_spectra_counts_an_unreadable_file_and_fits_the_rest(
+        tmp_path, mp_synth):
+    config, data = mp_synth
+    files = sorted(map(str, data.glob("spectrum_delta_*ueV.txt")))
+    broken = tmp_path / "broken.txt"
+    broken.write_text("# domain = spectral\n0 1\n1 one\n")
+    out = tmp_path / "fits"
+    assert cli.main(["fit-spectra", "--config", str(config), "--out",
+                     str(out), "--quiet", str(broken), *files]) == 1
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["n_failures"] == 1
+    assert verdict["n_records"] == len(files) == 7
+    assert verdict["label"] == "crossing"
+    rows = (out / "sweep_records.csv").read_text().splitlines()[2:]
+    assert sorted(row.split(",")[0] for row in rows) == sorted(
+        os.path.basename(f) for f in files)
+
+
+def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
+    config, data = mp_synth
+    files = [str(without_detuning(path, tmp_path / path.name))
+             for path in sorted(data.glob("spectrum_delta_*ueV.txt"))]
+    out = tmp_path / "fits"
+    assert cli.main(["fit-spectra", "--config", str(config), "--out",
+                     str(out), "--quiet", *files]) == 1
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["n_records"] == 7 and verdict["n_failures"] == 0
+    assert verdict["label"] == "unclassified"
+
+
+@pytest.mark.parametrize("value", [None, ""], ids=["removed", "empty"])
+def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
+                                               value):
+    # the MP spectrum at delta = +150: fitted as if at delta = 0, g comes out
+    # far from the truth
+    config, data = mp_synth
+    spectrum = without_detuning(data / cli._spectrum_filename(150.0),
+                                tmp_path / "spectrum.txt", value)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
+                     "--quiet", "--spectrum", str(spectrum),
+                     "--decay", str(data / "decay.txt")]) == 1
+    report = json.loads((out / "compare_g.json").read_text())
+    assert report["spectral"]["available"] is False
+    assert "detuning_ueV" in report["spectral"]["error"]
+    assert report["dynamical"]["available"]
+    assert "detuning_ueV" in caplog.text
+
+
+def test_compare_g_reports_a_missing_decay_side(tmp_path, mp_synth):
+    config, data = mp_synth
+    argv = ["compare-g", "--config", str(config), "--quiet", "--spectrum",
+            str(data / cli._spectrum_filename(0.0))]
+    absent = tmp_path / "absent.txt"
+    assert cli.main([*argv, "--out", str(tmp_path / "missing"),
+                     "--decay", str(absent)]) == 1
+    report = json.loads((tmp_path / "missing" / "compare_g.json").read_text())
+    assert report["spectral"]["available"]
+    assert report["dynamical"]["available"] is False
+    assert str(absent) in report["dynamical"]["error"]
+    assert "comparison" not in report
+    assert cli.main([*argv, "--out", str(tmp_path / "spectrum_only")]) == 0
+    report = json.loads((tmp_path / "spectrum_only" / "compare_g.json")
+                        .read_text())
+    assert report["spectral"]["available"]
+    assert report["dynamical"] == {"available": False}
+
+
+def test_deconvolve_without_temporal_irf_fails_that_file(tmp_path, mp_synth):
+    _, data = mp_synth
+    config = tmp_path / "mp.ini"
+    write_config(config, "mp")
+    config.write_text(config.read_text()
+                      .replace("temporal_irf_fwhm_ns = 0.05\n", ""))
+    spectrum = data / cli._spectrum_filename(0.0)
+    out = tmp_path / "dec"
+    assert cli.main(["deconvolve", "--config", str(config), "--out", str(out),
+                     "--quiet", str(data / "decay.txt"), str(spectrum)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        spectrum.stem + "_deconvolved.txt"]
+
+
+def test_default_spectrum_grid(tmp_path):
+    # the benchmark configs set no grid_span_ueV: the grid spans the largest
+    # detuning with the default 4,096 points
+    config = tmp_path / "pc.ini"
+    write_config(config, "pc")
+    config.write_text(config.read_text()
+                      .replace("grid_span_ueV = 1500\ngrid_points = 1501\n",
+                               ""))
+    cfg = cli.load_config(str(config))
+    grid = default_grid(cfg.params, 4096, 600.0)
+    assert np.array_equal(cfg.spectrum_grid(), grid)
+    out = tmp_path / "sweep"
+    assert cli.main(["simulate-sweep", "--config", str(config), "--out",
+                     str(out), "--quiet"]) == 0
+    for delta in cfg.deltas:
+        spec, _ = read_spectrum(out / cli._spectrum_filename(delta))
+        assert spec.omega.size == 4096
+        assert np.allclose(spec.omega, grid, rtol=1e-11, atol=0.0)
+
+
+def test_irf_files_reproduce_their_kernels(tmp_path, monkeypatch):
+    # the kernels spectrometer_q and temporal_irf_fwhm_ns build, written to
+    # files: the file branch gives the same spectra, and each file is read
+    # once per run however many sweep points use it
+    config = tmp_path / "mp.ini"
+    write_config(config, "mp", "\n[decay]\nt_max_ns = 5.0\ndt_ns = 0.002\n")
+    cfg = cli.load_config(str(config))
+    grid = cfg.spectrum_grid()
+    write_signal(cfg.irf("spectral", grid[1] - grid[0]),
+                 tmp_path / "spectral_irf.txt")
+    write_signal(cfg.irf("temporal", cfg.decay_dt),
+                 tmp_path / "temporal_irf.txt")
+    files = tmp_path / "files.ini"
+    files.write_text(config.read_text()
+                     .replace("spectrometer_q = 40000.0",
+                              "spectral_irf_file = spectral_irf.txt")
+                     .replace("temporal_irf_fwhm_ns = 0.05",
+                              "temporal_irf_file = temporal_irf.txt"))
+    reads = []
+    read_irf = cli.instrument.read_irf
+    monkeypatch.setattr(cli.instrument, "read_irf", lambda path, domain=None:
+                        reads.append(os.path.basename(path))
+                        or read_irf(path, domain))
+
+    def run(command, config, out, *extra):
+        reads.clear()
+        code = cli.main([command, "--config", str(config), "--out",
+                         str(tmp_path / out), "--quiet", *extra])
+        return code, sorted(reads)
+
+    once = ["spectral_irf.txt", "temporal_irf.txt"]
+    assert run("simulate-sweep", config, "fwhm") == (0, [])
+    assert run("simulate-sweep", files, "file") == (0, once)
+    assert ((tmp_path / "file" / "sweep.csv").read_text()
+            == (tmp_path / "fwhm" / "sweep.csv").read_text())
+    for delta in cfg.deltas:
+        name = cli._spectrum_filename(delta)
+        want, _ = read_spectrum(tmp_path / "fwhm" / name)
+        got, _ = read_spectrum(tmp_path / "file" / name)
+        assert (np.abs(got.intensity - want.intensity).max()
+                <= 1e-8 * want.intensity.max())
+    assert run("synthesize", files, "data", "--seed", "1") == (0, once)
+    decay = str(tmp_path / "data" / "decay.txt")
+    assert run("fit-decay", files, "decay", decay) == (0, once)
+    assert run("compare-g", files, "cmp", "--decay", decay, "--spectrum",
+               str(tmp_path / "data" / cli._spectrum_filename(0.0))) == (0,
+                                                                         once)
+
+
 VALID = """\
 [system]
 g_ueV = 22.6
@@ -424,6 +598,15 @@ def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     assert text != VALID
     (tmp_path / "irf.txt").write_text("-1 1\n0 2\n1 1\n")
     assert_config_error(tmp_path, caplog, text, marker)
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate-sweep"])
+def test_unusable_irf_file_exits_2(tmp_path, caplog, command):
+    (tmp_path / "irf.txt").write_text("-1 1\n0 -2\n1 1\n")
+    text = VALID.replace("spectrometer_q = 40000.0",
+                         "spectral_irf_file = irf.txt")
+    assert_config_error(tmp_path, caplog, text, "spectral_irf_file = irf.txt",
+                        command=command)
 
 
 @pytest.mark.parametrize("config_seed", ["", "[output]\nseed = 3\n"],

@@ -18,6 +18,15 @@ from cqed_lab import (FitError, IrfKernel, LorentzianPairParams,
 PC_FIXED = {"kappa": 195.0, "gamma": 0.2, "gamma_dp": 4.0, "delta": 0.0}
 
 
+def delayed(sig, irf, steps):
+    """``sig`` and ``irf`` with both grids moved ``steps`` samples later: the
+    same measurement, with the kernel recorded late on its own grid."""
+    late = IrfKernel(irf.grid + steps * irf.step, irf.values, irf.domain)
+    assert late.grid[0] > late.grid[-1] - late.grid[0]  # past its own length
+    return (SampledSignal(sig.grid + steps * sig.step, sig.values, sig.domain),
+            late)
+
+
 def pair_signal(x, init: LorentzianPairParams, baseline=0.0):
     y = baseline + sum(lorentzian(x, c, w, h) for c, w, h
                        in zip(init.centers, init.fwhms, init.heights))
@@ -144,6 +153,21 @@ class TestFitLorentzianPair:
         assert aware.estimates["fwhm_1"] == pytest.approx(40.0, rel=1e-3)
         assert aware.estimates["fwhm_2"] == pytest.approx(40.0, rel=1e-3)
 
+    def test_kernel_delayed_past_its_length(self):
+        truth = LorentzianPairParams(centers=(-80.0, 80.0), fwhms=(40.0, 40.0),
+                                     heights=(1.0, 1.0))
+        step = self.x[1] - self.x[0]
+        irf = gaussian_irf(30.0, np.arange(-120, 121) * step)
+        blurred = convolve(pair_signal(self.x, truth), irf)
+        init = LorentzianPairParams(centers=(-80.0, 80.0), fwhms=(45.0, 45.0),
+                                    heights=(0.9, 0.9))
+        fit = fit_lorentzian_pair(blurred, init, irf=irf)
+        late_sig, late_irf = delayed(blurred, irf, 400)
+        late = fit_lorentzian_pair(late_sig, init, irf=late_irf)
+        for name, value in fit.estimates.items():
+            assert late.estimates[name] == pytest.approx(value, rel=1e-6,
+                                                         abs=1e-9)
+
     def test_seeding_recovers_broad_plus_narrow(self):
         truth = LorentzianPairParams(centers=(-150.0, 0.0),
                                      fwhms=(195.0, 10.0), heights=(0.3, 1.0))
@@ -261,6 +285,13 @@ class TestFitDecay:
         curve, irf, _ = make_decay([18.5, 0.39], [10.0, 1.0])
         fit = fit_decay(curve, irf=irf, mode="bi")
         assert fit.estimates["rate_1"] > fit.estimates["rate_2"]
+
+    def test_kernel_delayed_past_its_length(self):
+        curve, irf, _ = make_decay([2.0], [1.0], t_max=10.0)
+        rate = fit_decay(curve, irf=irf, mode="single").estimates["rate_1"]
+        late_curve, late = delayed(curve, irf, 250)
+        late_fit = fit_decay(late_curve, irf=late, mode="single")
+        assert late_fit.estimates["rate_1"] == pytest.approx(rate, rel=1e-6)
 
     def test_flat_input_errors(self):
         t = np.arange(-1.0, 10.0, 0.01)

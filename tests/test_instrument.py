@@ -22,7 +22,7 @@ class TestIrfKernel:
     def test_must_be_normalized(self):
         g = kernel_grid(10, 1.0)
         with pytest.raises(ValueError):
-            IrfKernel(grid=g, weights=np.ones(21), domain="spectral")
+            IrfKernel(grid=g, values=np.ones(21), domain="spectral")
 
     def test_negative_counts_rejected(self):
         g = kernel_grid(10, 1.0)
@@ -35,7 +35,7 @@ class TestIrfKernel:
         g = kernel_grid(50, 0.5)
         counts = np.exp(-0.5 * (g / 4.0) ** 2) * 1234.5
         irf = IrfKernel.from_samples(g, counts)
-        assert irf.weights.sum() * irf.step == pytest.approx(1.0, abs=1e-12)
+        assert irf.values.sum() * irf.step == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("decimals", [9, 10])
     def test_rounded_grid_normalizes_with_its_own_step(self, tmp_path,
@@ -51,7 +51,7 @@ class TestIrfKernel:
         for irf in (IrfKernel.from_samples(g, counts, "temporal"),
                     gaussian_irf(0.05, g, "temporal"),
                     read_irf(path, "temporal")):
-            assert irf.weights.sum() * irf.step == pytest.approx(1.0,
+            assert irf.values.sum() * irf.step == pytest.approx(1.0,
                                                                  abs=1e-12)
 
 
@@ -59,8 +59,8 @@ class TestGaussianIrf:
     def test_second_moment(self):
         fwhm = 29.9
         irf = gaussian_irf(fwhm, kernel_grid(600, 0.1))
-        mean = np.sum(irf.grid * irf.weights) * irf.step
-        var = np.sum((irf.grid - mean) ** 2 * irf.weights) * irf.step
+        mean = np.sum(irf.grid * irf.values) * irf.step
+        var = np.sum((irf.grid - mean) ** 2 * irf.values) * irf.step
         assert math.sqrt(var) == pytest.approx(fwhm / 2.3548, rel=1e-3)
 
     def test_under_resolved_rejected(self):
@@ -182,11 +182,11 @@ class TestDeconvolve:
 
         # naive division: unwindowed division on every bin where the kernel
         # transform is still numerically representable
-        n_fft = 1 << (self.x.size + self.irf.weights.size - 1).bit_length()
+        n_fft = 1 << (self.x.size + self.irf.values.size - 1).bit_length()
         k = np.zeros(n_fft)
         k0 = int(round(self.irf.grid[0] / self.step))
-        idx = (np.arange(self.irf.weights.size) + k0) % n_fft
-        k[idx] = self.irf.weights * self.step
+        idx = (np.arange(self.irf.values.size) + k0) % n_fft
+        k[idx] = self.irf.values * self.step
         h_hat = np.fft.rfft(k)
         x_hat = np.fft.rfft(noise, n_fft)
         keep = np.abs(h_hat) >= 1e-6 * np.abs(h_hat).max()
