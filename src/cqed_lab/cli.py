@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
 import json
 import logging
 import math
@@ -381,6 +380,7 @@ def cmd_simulate_sweep(args, cfg: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError(f"{cfg.path}: [sweep] must define detunings")
     log.info("sweeping %d detuning points", len(deltas))
     if args.jobs > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_forward_point, [cfg] * len(deltas), deltas))
     else:

@@ -330,7 +330,10 @@ def _solve(model, data: SampledSignal, p0, lower,
     """
     y, xe, conv = data.values, data.grid, (lambda v: v)
     if irf is not None:
-        xe, _, conv = _aligned_convolution(data, irf)
+        (left, right), conv = _aligned_convolution(data, irf)
+        h = data.step
+        xe = np.concatenate([xe[0] - h * np.arange(left, 0, -1), xe,
+                             xe[-1] + h * np.arange(1, right + 1)])
 
     def residual(p):
         r = conv(model(xe, p)) - y

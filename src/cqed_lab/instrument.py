@@ -9,6 +9,7 @@ at least 10% of its peak, so the division stays well conditioned in noise.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -150,24 +151,22 @@ def _aligned_convolution(signal: SampledSignal, irf: IrfKernel):
     """The one discrete convolution with an aligned kernel.
 
     Output sample i sums input samples i - k0 - j over the m kernel samples
-    j (k0: the kernel's offset in steps).  Returns ``signal``'s grid widened
-    by the padding it needs, (max(0, k0 + m - 1), max(0, -k0)) samples,
-    that padding, and ``conv``, which maps values on the widened grid (2-D:
-    each column) to their convolution on ``signal``'s grid.
+    j (k0: the kernel's offset in steps).  Returns the padding of
+    ``signal``'s grid that this needs, (max(0, k0 + m - 1), max(0, -k0))
+    samples, and ``conv``, which maps values on the grid widened by that
+    padding (2-D: each column) to their convolution on ``signal``'s grid.
     """
     k0 = _aligned_offset(signal, irf)
-    h, x, m = signal.step, signal.grid, irf.values.size
+    n, m, h = signal.values.size, irf.values.size, signal.step
     pad = max(0, k0 + m - 1), max(0, -k0)
-    wide = np.concatenate([x[0] - h * np.arange(pad[0], 0, -1), x,
-                           x[-1] + h * np.arange(1, pad[1] + 1)])
     start = pad[0] - k0 - (m - 1)
 
     def conv(v):
-        cols = [np.convolve(u, irf.values, "valid")[start:start + x.size] * h
+        cols = [np.convolve(u, irf.values, "valid")[start:start + n] * h
                 for u in np.atleast_2d(v.T)]
         return cols[0] if v.ndim == 1 else np.column_stack(cols)
 
-    return wide, pad, conv
+    return pad, conv
 
 
 def convolve(signal: SampledSignal, irf: IrfKernel) -> SampledSignal:
@@ -176,7 +175,7 @@ def convolve(signal: SampledSignal, irf: IrfKernel) -> SampledSignal:
     Area-preserving for signals with compact support inside the grid;
     values needed beyond the grid edges are treated as zero.
     """
-    _, (left, right), conv = _aligned_convolution(signal, irf)
+    (left, right), conv = _aligned_convolution(signal, irf)
     v = np.concatenate([np.zeros(left), signal.values, np.zeros(right)])
     return SampledSignal(signal.grid.copy(), conv(v), signal.domain)
 
@@ -285,18 +284,43 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_cells(grid: bytes) -> tuple:
+    """The %.12g strings of a float64 grid given as its bytes."""
+    return tuple(map("%.12g".__mod__, np.frombuffer(grid).tolist()))
+
+
 def _write_columns(path, header: list, xs: np.ndarray, ys: np.ndarray) -> None:
-    """Write header lines, then one "x y" row per sample, both as %.12g."""
-    rows = map("{:.12g} {:.12g}".format, np.asarray(xs, dtype=float).tolist(),
-               np.asarray(ys, dtype=float).tolist())
-    _atomic_write(path, "\n".join([*header, *rows]) + "\n")
+    """Write the header lines, then one "x y" row per sample.
+
+    Both columns are written as %.12g.  The x column is formatted once per
+    run of equal grids (every spectrum of a sweep shares one), and the body
+    is rendered by one template over the interleaved cells.
+    """
+    cells = [None] * (2 * len(ys))
+    cells[::2] = _grid_cells(np.asarray(xs, dtype=float).tobytes())
+    cells[1::2] = np.asarray(ys, dtype=float).tolist()
+    _atomic_write(path, "".join(f"{line}\n" for line in header)
+                  + ("%s %.12g\n" * len(ys)) % tuple(cells))
 
 
 def _read_columns(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The first two columns of a text file and its "# key = value" lines."""
+    """The first two columns of a text file and its "# key = value" lines.
+
+    Metadata comes only from the lines that contain a '#', each matched as
+    a whole line (up to its "\\n") against "# key = value".
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    meta = {key.strip(): val.strip() for key, val in _META.findall(text)}
+    meta = {}
+    end = -1
+    while (at := text.find("#", end + 1)) >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
+        if match := _META.match(text, start, end):
+            meta[match[1].strip()] = match[2].strip()
     try:
         with warnings.catch_warnings():
             # a file without data rows is reported below

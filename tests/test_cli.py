@@ -85,8 +85,8 @@ def test_synthesize_then_fit_spectra_verdict(tmp_path, system):
 
 def test_cli_import_leaves_out_stats_and_signal(tmp_path):
     # a fresh interpreter: importing the CLI and running every subcommand,
-    # the fitting ones included, must not load any scipy module nor
-    # configparser
+    # the fitting ones included, must not load any scipy module,
+    # configparser, nor concurrent.futures (only --jobs > 1 needs it)
     config = tmp_path / "mp.ini"
     write_config(config, "mp", "\n[fit]\ncoupling_mode = full\n")
     code = textwrap.dedent("""
@@ -94,8 +94,9 @@ def test_cli_import_leaves_out_stats_and_signal(tmp_path):
         import cqed_lab.cli as cli
 
         def loaded():
-            return sorted(m for m in sys.modules if m == "configparser"
-                          or m == "scipy" or m.startswith("scipy."))
+            return sorted(m for m in sys.modules if m in (
+                "configparser", "concurrent.futures", "scipy")
+                or m.startswith("scipy."))
 
         config, root = sys.argv[1], sys.argv[2]
         print(loaded())
@@ -554,6 +555,19 @@ def test_valid_config_synthesizes(tmp_path):
     path.write_text(VALID)
     assert cli.main(["synthesize", "--config", str(path), "--out",
                      str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_simulate_sweep_jobs_write_the_same_bytes(tmp_path):
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    outs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["simulate-sweep", "--config", str(path), "--out",
+                         str(out), "--jobs", jobs, "--quiet"]) == 0
+        outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outs["1"]) == 4  # sweep.csv and three spectra
+    assert outs["2"] == outs["1"]
 
 
 @pytest.mark.parametrize("old,new,marker", [

@@ -10,6 +10,7 @@ from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       correlation_kernel, default_grid, emission_spectrum,
                       lorentzian, propagate, rabi_splitting, read_spectrum,
                       resolvent_transform, write_signal, write_spectrum)
+from cqed_lab.instrument import _META, _write_columns
 from cqed_lab.spectra import _detected_intensity, _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
@@ -368,6 +369,18 @@ class TestSerialization:
         assert spec.intensity.tolist() == [0.25, 1e-300, -2.0]
         assert meta == {"frame": "offset", "note": "a = b"}
 
+        # CRLF line ends, and a '#' inside a header value; the metadata is
+        # what the whole-text match of the "# key = value" pattern gives
+        path.write_bytes(b"# cqed-lab spectrum v1\r\n# frame = offset\r\n"
+                         b"# source = run#3\r\n-1 2\r\n0 3 # x = 1\r\n"
+                         b"1 4\r\n")
+        spec, meta = read_spectrum(path)
+        assert spec.omega.tolist() == [-1.0, 0.0, 1.0]
+        assert spec.intensity.tolist() == [2.0, 3.0, 4.0]
+        assert meta == {"frame": "offset", "source": "run#3"}
+        assert meta == {key.strip(): val.strip() for key, val
+                        in _META.findall(path.read_text())}
+
     def test_interrupted_rewrite_keeps_the_old_file(self, tmp_path,
                                                     monkeypatch, pc_cavity):
         spec = emission_spectrum(pc_cavity, grid=default_grid(pc_cavity, 512))
@@ -416,3 +429,21 @@ class TestSerialization:
         header = ["# cqed-lab signal v1", "# domain = temporal", "# seed = 3"]
         assert path.read_bytes() == per_row(
             header, sig.grid, sig.values).encode()
+
+        # values where %.12g switches notation, rounds up a digit, or has
+        # no digits at all, in both columns
+        edge = np.array([-0.0, 1e-5, 9.99999999999e-5, 1e11, 1e12,
+                         123456789012.5, 1e16, 5e-324, np.inf, -np.inf,
+                         np.nan])
+        _write_columns(path, ["# edge"], edge, edge[::-1])
+        assert path.read_bytes() == per_row(["# edge"], edge,
+                                            edge[::-1]).encode()
+
+        # grids A, B, A of equal length: each file carries its own x column
+        grid_a = np.arange(3040) * 2e-3
+        for grid in (grid_a, grid_a + 0.5e-3, grid_a):
+            sig = SampledSignal(grid, sig.values, "temporal")
+            write_signal(sig, path)
+            assert path.read_bytes() == per_row(
+                ["# cqed-lab signal v1", "# domain = temporal"],
+                grid, sig.values).encode()
