@@ -6,18 +6,21 @@ calls :func:`least_squares`, a projected Levenberg-Marquardt solver in
 numpy that takes each step from the Cholesky factor of the scaled normal
 equations, a system of the free parameters alone.  Parameters have lower
 bounds only; one the fit drives onto its bound is held there, exactly,
-while the gradient pushes it outward.  A residual or Jacobian that is not
-finite raises ``FitError``.  The fit stops at a trial step shorter than
-1e-8 (1e-8 + |x|), a free gradient component below 1e-10, a cost falling
-by less than 1e-14 of itself, or after 500 residual evaluations.  The
-result's ``status`` is 0 when the evaluation limit stopped it and positive
-otherwise; each of the three fitters raises ``FitError`` on 0, so every
-``FitResult`` they return is ``converged``.  The result's ``active_mask``
-is -1 for parameters on their lower bound, or within 1e-8 of it, and 0
-elsewhere.  Every model carries its analytic Jacobian, built only where
-the solver needs one: the Lorentzian pair and the multiexponential in
-closed form, the emitter-cavity spectrum through the derivatives of its
-resolvent and time integrals (``spectra._detected_intensity``).
+while the gradient pushes it outward.  A start point or accepted point
+whose cost or J^T J is not finite raises ``FitError``.  The fit stops at
+a trial step shorter than 1e-8 (1e-8 + |x|), a free gradient component
+below 1e-10, a cost falling by less than 1e-14 of itself, or after 500
+residual evaluations.  The result's ``status`` is 0 when the evaluation
+limit stopped it and positive otherwise; each of the three fitters raises
+``FitError`` on 0, so every ``FitResult`` they return is ``converged``.
+The result's ``active_mask`` is -1 for parameters on their lower bound,
+or within 1e-8 of it, and 0 elsewhere.  Every model carries its analytic
+Jacobian, built with every evaluation and parameter-major (its transpose
+is C-contiguous): the Lorentzian pair and the multiexponential in closed
+form, the emitter-cavity spectrum through the derivatives of its
+resolvent and time integrals (``spectra._detected_intensity``).  The
+solver takes the Jacobian of a point it evaluated from that evaluation,
+so each trial point costs one model call.
 """
 
 from __future__ import annotations
@@ -198,9 +201,10 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
     max(1/3, 1 - (2 rho - 1)^3); on a rejected step by 2, 4, 8, ...  A
     factorization that fails, which finite input allows only once mu has
     decayed to roundoff in the unit diagonal of A / (d d^T), counts as a
-    rejected step without an evaluation.  A residual or Jacobian that is
-    not finite at the start or at an accepted point raises ``FitError``
-    naming the start point.
+    rejected step without an evaluation.  Finiteness is checked on the cost
+    and on J^T J, which is not finite exactly where J is, at the start and
+    at each accepted point; a failure raises ``FitError`` naming the start
+    point.  A trial point whose cost is not finite is a rejected step.
 
     ``jac`` is a callable returning the Jacobian at x, passed where scipy
     takes it; its calls do not count in ``nfev``.  ``bounds`` is (lower,
@@ -221,17 +225,28 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
     if max_nfev is None:
         max_nfev = 100 * x.size
 
-    def linearize(p, fp):  # the Jacobian at p and J^T J, checked finite
+    twin = None  # a copy of J, one buffer per solve
+
+    def linearize(p, cost_p):  # the Jacobian at p and J^T J, checked finite
+        nonlocal twin
         jp = jac(p)
-        if not (np.isfinite(fp).all() and np.isfinite(jp).all()):
+        # numpy calls BLAS syrk when both operands share one buffer, and
+        # OpenBLAS 0.3.31's syrk took 2.5-4x as long as gemm at 7 x
+        # 1,000-16,000 (2-vCPU x86-64 VM); a fresh copy per call would
+        # cost page faults instead
+        if twin is None:
+            twin = np.empty(jp.shape[::-1]).T
+        np.copyto(twin, jp)
+        jtj = jp.T @ twin
+        if not (np.isfinite(cost_p) and np.isfinite(jtj).all()):
             raise FitError("residual or Jacobian not finite in the fit "
                            f"started at {np.asarray(x0, float).tolist()}")
-        return jp, jp.T @ jp
+        return jp, jtj
 
     x = np.maximum(x, lower)
     f = fun(x)
     nfev, cost = 1, 0.5 * float(f @ f)
-    J, jtj = linearize(x, f)
+    J, jtj = linearize(x, cost)
     scale = np.zeros(x.size)
     mu, nu = _MU0, 2.0
     status = None
@@ -244,15 +259,17 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
         if nfev >= max_nfev:
             status = 0
             break
-        a = jtj[np.ix_(free, free)]
+        a = jtj[free][:, free]
         # diag(a) holds the squared norms of the free columns of J
         scale[free] = np.maximum(scale[free], np.sqrt(np.diag(a)))
         d = np.where(scale[free] > 0.0, scale[free], 1.0)
-        a_s, g_s = a / np.outer(d, d), g[free] / d
+        a_s, g_s = a / (d[:, None] * d), g[free] / d
         reduction = -1.0
         while reduction <= 0.0 and nfev < max_nfev:
+            damped = a_s.copy()
+            damped.flat[::d.size + 1] += mu
             try:
-                chol = np.linalg.cholesky(a_s + mu * np.eye(d.size))
+                chol = np.linalg.cholesky(damped)
             except np.linalg.LinAlgError:  # mu below roundoff in a_s
                 mu *= nu
                 nu *= 2.0
@@ -282,7 +299,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
                 break
         if reduction > 0.0:
             x, f, cost = x_new, f_new, cost_new
-            J, jtj = linearize(x, f)
+            J, jtj = linearize(x, cost)
     near = x - lower <= xtol * np.maximum(1.0, np.abs(lower))
     return LeastSquaresResult(x=x, cost=cost, fun=f, jac=J, nfev=nfev,
                               status=status, active_mask=np.where(
@@ -321,12 +338,14 @@ def _solve(model, data: SampledSignal, p0, lower,
            irf: IrfKernel | None = None, sigma=None):
     """Bounded least-squares fit of ``model`` to ``data``; the raw result.
 
-    ``model(x, p)`` returns the model values on the grid ``x``, and
-    ``model(x, p, jac=True)`` the values and their analytic Jacobian as a
-    pair; it is called so only where the solver needs the Jacobian.  With
-    ``irf`` the model is evaluated on the data grid widened by the kernel's
-    reach and convolved back onto it as ``instrument.convolve`` does; with
-    ``sigma`` each residual is divided by it.  Upper bounds are infinite.
+    ``model(x, p, jac=True)`` returns the model values on the grid ``x``
+    and their analytic Jacobian, parameter-major, as a pair; it is called
+    once per point the solver evaluates (:func:`_residual_and_jacobian`).
+    With ``irf`` the model is evaluated on the data grid widened by the
+    kernel's reach and convolved back onto it as ``instrument.convolve``
+    does; with ``sigma`` each residual is divided by it.  Upper bounds are
+    infinite.  :func:`least_squares` checks finiteness on the cost and on
+    J^T J of the start and of each accepted point.
     """
     y, xe, conv = data.values, data.grid, (lambda v: v)
     if irf is not None:
@@ -335,40 +354,68 @@ def _solve(model, data: SampledSignal, p0, lower,
         xe = np.concatenate([xe[0] - h * np.arange(left, 0, -1), xe,
                              xe[-1] + h * np.arange(1, right + 1)])
 
-    def residual(p):
-        r = conv(model(xe, p)) - y
-        return r if sigma is None else r / sigma
-
-    def jacobian(p):
-        j = conv(model(xe, p, jac=True)[1])
-        return j if sigma is None else j / sigma[:, None]
-
+    residual, jacobian = _residual_and_jacobian(
+        lambda p: model(xe, p, jac=True), y, conv, sigma)
     return least_squares(residual, p0, jacobian,
                          bounds=(lower, np.inf), xtol=_XTOL, gtol=_GTOL,
                          ftol=_FTOL, max_nfev=_MAX_NFEV)
 
 
+def _residual_and_jacobian(model, y, conv=lambda v: v, sigma=None):
+    """``fun`` and ``jac`` for :func:`least_squares` from one fused model.
+
+    ``model(p)`` returns the model values and their Jacobian as a pair; the
+    residual is conv(values) - y, divided by ``sigma`` when given.  Each
+    residual call keeps the Jacobian of its point, so ``jac`` asked at the
+    point last evaluated, as the solver asks at its start and at each
+    accepted point, costs no model call; only there is the Jacobian
+    convolved.  Asked anywhere else, ``jac`` evaluates the model afresh.
+    """
+    kept = {}
+
+    def residual(p):
+        values, kept["jac"] = model(p)
+        kept["p"] = np.array(p, dtype=float)
+        r = conv(values) - y
+        return r if sigma is None else r / sigma
+
+    def jacobian(p):
+        same = "p" in kept and np.array_equal(p, kept["p"])
+        j = conv(kept["jac"] if same else model(p)[1])
+        return j if sigma is None else (j.T / sigma).T
+
+    return residual, jacobian
+
+
 def _lorentzians(x: np.ndarray, p, jac: bool = False):
     """Lorentzians, p = (center, FWHM, height) per peak, plus baseline p[-1].
 
-    With ``jac`` the analytic Jacobian is returned too, as a pair.
+    With ``jac`` the analytic Jacobian is returned too, as a pair; it is
+    the transpose of a C-contiguous array, one row per parameter.  All
+    three derivatives come from the line shape s = q^2 u, u = 1/denom,
+    denom = (x - c)^2 + q^2: ds/dc = 2 (s u) (x - c) and
+    ds/dq = 2 q (u - s u).
     """
     model = np.full(x.size, p[-1])
     if jac:
-        d = np.empty((x.size, len(p)))
-        d[:, -1] = 1.0
+        d = np.empty((len(p), x.size))
+        d[-1] = 1.0
     for k in range(len(p) // 3):
         c, w, h = p[3 * k], p[3 * k + 1], p[3 * k + 2]
         q = w / 2.0
         dx = x - c
-        denom = dx * dx + q * q
-        model += h * q * q / denom
+        u = dx * dx
+        u += q * q
+        np.reciprocal(u, out=u)
+        shape = np.multiply(q * q, u, out=d[3 * k + 2] if jac else None)
+        model += h * shape
         if jac:
-            denom2 = denom ** 2
-            d[:, 3 * k] = 2.0 * h * q * q * dx / denom2
-            d[:, 3 * k + 1] = h * q * dx * dx / denom2
-            d[:, 3 * k + 2] = q * q / denom
-    return (model, d) if jac else model
+            su = shape * u
+            np.multiply(su, dx, out=d[3 * k])
+            d[3 * k] *= 2.0 * h
+            np.subtract(u, su, out=d[3 * k + 1])
+            d[3 * k + 1] *= h * q
+    return (model, d.T) if jac else model
 
 
 def fit_lorentzian_pair(spec: SampledSignal, init: LorentzianPairParams,
@@ -417,12 +464,13 @@ def seed_lorentzian_pair(spec: SampledSignal) -> LorentzianPairParams:
     box = np.ones(_SEED_SMOOTH) / _SEED_SMOOTH
     c1, w1, h1 = _single_peak_guess(x, np.convolve(y, box, "same"))
 
-    def line(p, jac=False):  # one Lorentzian over a baseline held at zero
-        return _lorentzians(x, [*p, 0.0], jac)
+    def line(p):  # one Lorentzian over a baseline held at zero
+        values, d = _lorentzians(x, [*p, 0.0], jac=True)
+        return values, d[:, :3]
 
-    f1 = least_squares(lambda p: line(p) - y, [c1, w1, h1],
-                       jac=lambda p: line(p, jac=True)[1][:, :3], max_nfev=200)
-    resid = y - lorentzian(x, *f1.x)
+    residual, jacobian = _residual_and_jacobian(line, y)
+    f1 = least_squares(residual, [c1, w1, h1], jacobian, max_nfev=200)
+    resid = -f1.fun
     wide = np.ones(2 * _SEED_SMOOTH + 1) / (2 * _SEED_SMOOTH + 1)
     resid_s = np.convolve(np.clip(resid, 0.0, None), wide, "same")
     resid_s[np.abs(x - f1.x[0]) < _SEED_EXCLUSION_FWHMS * abs(f1.x[1])] = 0.0
@@ -485,16 +533,16 @@ def _decay_model(t: np.ndarray, p, jac: bool = False):
     on = t >= 0.0
     model = np.full(t.size, p[-1])
     if jac:
-        d = np.zeros((t.size, len(p)))
-        d[:, -1] = 1.0
+        d = np.empty((len(p), t.size))
+        d[-1] = 1.0
     for k in range(len(p) // 2):
         r, a = p[2 * k], p[2 * k + 1]
         e = np.where(on, np.exp(-r * np.where(on, t, 0.0)), 0.0)
         model += a * e
         if jac:
-            d[:, 2 * k] = -a * t * e
-            d[:, 2 * k + 1] = e
-    return (model, d) if jac else model
+            d[2 * k] = -a * t * e
+            d[2 * k + 1] = e
+    return (model, d.T) if jac else model
 
 
 def seed_decay(curve: SampledSignal, n_comp: int):
@@ -654,7 +702,7 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
         if not jac:
             return amp * _detected_intensity(params, det, x - offset)
         i, di_dg, di_dw = _detected_intensity(params, det, x - offset, True)
-        return amp * i, np.column_stack([amp * di_dg, i, -amp * di_dw])
+        return amp * i, np.array([amp * di_dg, i, -amp * di_dw]).T
 
     model0 = forward(x, [init_g, 1.0, 0.0])
     peak0 = float(np.abs(model0).max()) or 1.0

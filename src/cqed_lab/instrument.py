@@ -154,7 +154,9 @@ def _aligned_convolution(signal: SampledSignal, irf: IrfKernel):
     j (k0: the kernel's offset in steps).  Returns the padding of
     ``signal``'s grid that this needs, (max(0, k0 + m - 1), max(0, -k0))
     samples, and ``conv``, which maps values on the grid widened by that
-    padding (2-D: each column) to their convolution on ``signal``'s grid.
+    padding (2-D: each column) to their convolution on ``signal``'s grid;
+    a 2-D result is the transpose of a C-contiguous array, as a
+    parameter-major Jacobian is.
     """
     k0 = _aligned_offset(signal, irf)
     n, m, h = signal.values.size, irf.values.size, signal.step
@@ -162,9 +164,9 @@ def _aligned_convolution(signal: SampledSignal, irf: IrfKernel):
     start = pad[0] - k0 - (m - 1)
 
     def conv(v):
-        cols = [np.convolve(u, irf.values, "valid")[start:start + n] * h
+        rows = [np.convolve(u, irf.values, "valid")[start:start + n] * h
                 for u in np.atleast_2d(v.T)]
-        return cols[0] if v.ndim == 1 else np.column_stack(cols)
+        return rows[0] if v.ndim == 1 else np.array(rows).T
 
     return pad, conv
 

@@ -162,15 +162,28 @@ def resolvent_transform(matrix: np.ndarray, v0: np.ndarray,
     ``omega`` is in ueV; the result is the 2-vector -(A - i w/hbar)^(-1) v0
     evaluated in closed form at every grid point, shape (2, len(omega)).
     """
+    return np.vstack(_resolvent(matrix, omega)(v0))
+
+
+def _resolvent(matrix: np.ndarray, omega: np.ndarray):
+    """The map v -> -(A - i w/hbar)^(-1) v over the grid ``omega`` (ueV).
+
+    det(A - i w/hbar) is formed once per grid.  Each of the two entries of
+    v is a scalar or one value per grid point; the result is the pair of
+    rows.
+    """
     w = np.asarray(omega, dtype=float) / HBAR_UEV_NS
-    a00, a01 = matrix[0, 0], matrix[0, 1]
-    a10, a11 = matrix[1, 0], matrix[1, 1]
-    det = (a00 - 1j * w) * (a11 - 1j * w) - a01 * a10
-    if np.any(np.abs(det) == 0.0):
+    a01, a10 = matrix[0, 1], matrix[1, 0]
+    d00, d11 = matrix[0, 0] - 1j * w, matrix[1, 1] - 1j * w
+    det = d00 * d11 - a01 * a10
+    if np.any(det == 0.0):
         raise ZeroDivisionError("singular resolvent; generator is not dissipative")
-    r0 = -((a11 - 1j * w) * v0[0] - a01 * v0[1]) / det
-    r1 = -(-a10 * v0[0] + (a00 - 1j * w) * v0[1]) / det
-    return np.vstack([r0, r1])
+
+    def apply(v):
+        return (-(d11 * v[0] - a01 * v[1]) / det,
+                -(-a10 * v[0] + d00 * v[1]) / det)
+
+    return apply
 
 
 def default_grid(params: SystemParams, n: int = 4096,
@@ -239,35 +252,38 @@ def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
     integrals y = -M^-1 y0 move as dy/dg = -M^-1 (dM/dg) y.
     """
     y = decay_moments(params)[0]
-    matrix = _correlation_generator(params)
+    resolve = _resolvent(_correlation_generator(params), grid)
     starts = _start_vectors(y)
     if jac:  # M is linear in g: (dM/dg) y = (-2 y2, 2 y2, y0 - y1, 0)/hbar
         dy = np.linalg.solve(generator_matrix(params), np.array(
             [2.0 * y[2], -2.0 * y[2], y[1] - y[0], 0.0]) / HBAR_UEV_NS)
         d_starts = _start_vectors(dy)
 
-    def transform(k):  # R v of channel k, stacked (value, d/dg, d/domega)
-        r = resolvent_transform(matrix, starts[k], grid)
+    def transform(k):  # rows of R v of channel k; with jac, d/dg and d/domega
+        r = resolve(starts[k])
         if not jac:
-            return r[None]
-        da_r = np.array([r[1], -r[0]]) / HBAR_UEV_NS  # A is linear in g
-        return np.stack([
-            r, resolvent_transform(matrix, da_r + d_starts[k][:, None], grid),
-            -1j / HBAR_UEV_NS * resolvent_transform(matrix, r, grid)])
+            return [r]
+        dv = d_starts[k]  # A is linear in g: dA/dg r = (r1, -r0)/hbar
+        return [r, resolve((r[1] / HBAR_UEV_NS + dv[0],
+                            -r[0] / HBAR_UEV_NS + dv[1])),
+                [-1j / HBAR_UEV_NS * u for u in resolve(r)]]
 
     kt = params.kappa / HBAR_UEV_NS
     gm = params.gamma / HBAR_UEV_NS
     eca, eqd = complex(det.eta_ca), complex(det.eta_qd)
+    root = math.sqrt(kt * gm)
     r_ca = transform(0)
-    terms = abs(eca) ** 2 * kt * r_ca[:, 0]
-    if eqd != 0:
-        r_qd = transform(1)
-        root = math.sqrt(kt * gm)
-        terms = (terms
-                 + abs(eqd) ** 2 * gm * r_qd[:, 1]
-                 + np.conj(eca) * eqd * root * r_qd[:, 0]
-                 + np.conj(eqd) * eca * root * r_ca[:, 1])
-    intensity = terms.real / (math.pi * HBAR_UEV_NS)
+    r_qd = transform(1) if eqd != 0 else r_ca
+    rows = []
+    for ca, qd in zip(r_ca, r_qd):
+        terms = abs(eca) ** 2 * kt * ca[0]
+        if eqd != 0:
+            terms = (terms
+                     + abs(eqd) ** 2 * gm * qd[1]
+                     + np.conj(eca) * eqd * root * qd[0]
+                     + np.conj(eqd) * eca * root * ca[1])
+        rows.append(terms.real / (math.pi * HBAR_UEV_NS))
+    intensity = np.array(rows)
 
     peak = float(np.abs(intensity[0]).max()) or 1.0
     if intensity[0].min() < -1e-9 * peak:

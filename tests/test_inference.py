@@ -710,3 +710,123 @@ class TestLeastSquares:
         # raised at once, not after running to the evaluation limit
         assert len(nfev) <= (1 if where == "residual" else 10)
         assert capfd.readouterr().err == ""
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_noisy_pair(with_irf=False),
+        lambda: fit_noisy_pair(with_irf=True),
+        fit_noisy_multi,
+        fit_noisy_jc,
+    ], ids=["pair", "pair-irf", "multi", "jc"])
+    def test_one_model_call_per_evaluation(self, monkeypatch, fit):
+        solve = cqed_lab.inference._solve
+        counts = []
+
+        def counting_solve(model, *args, **kwargs):
+            calls = []
+
+            def counted(*a, **k):
+                calls.append(k.get("jac", False))
+                return model(*a, **k)
+
+            res = solve(counted, *args, **kwargs)
+            counts.append((len(calls), res.nfev))
+            assert all(calls)  # each call returns values and Jacobian
+            return res
+
+        monkeypatch.setattr(cqed_lab.inference, "_solve", counting_solve)
+        assert fit().converged
+        assert counts
+        for calls, nfev in counts:
+            assert calls == nfev
+
+    def test_jacobian_away_from_the_last_point_is_evaluated_afresh(self):
+        x = TestFitLorentzianPair.x
+        irf = gaussian_irf(20.0, np.arange(-120, 121) * (x[1] - x[0]))
+        spec = noisy_pair(irf)
+        (left, right), conv = cqed_lab.inference._aligned_convolution(
+            spec, irf)
+        h = spec.step
+        xe = np.concatenate([x[0] - h * np.arange(left, 0, -1), x,
+                             x[-1] + h * np.arange(1, right + 1)])
+        sigma = np.linspace(0.5, 2.0, x.size)
+
+        def model(p):
+            return cqed_lab.inference._lorentzians(xe, p, jac=True)
+
+        residual, jacobian = cqed_lab.inference._residual_and_jacobian(
+            model, spec.values, conv, sigma)
+        p1 = np.array([-60.0, 30.0, 1.0, 45.0, 80.0, 0.6, 0.05])
+        p2 = p1 + [3.0, -2.0, 0.1, -4.0, 5.0, -0.05, 0.01]
+        expected = conv(model(p1)[1]) / sigma[:, None]
+        residual(p1)
+        assert np.array_equal(jacobian(p1), expected)
+        residual(p2)
+        assert np.array_equal(jacobian(p1), expected)
+        assert np.array_equal(jacobian(p2), conv(model(p2)[1])
+                              / sigma[:, None])
+
+
+def central_differences(fun, p, rel=1e-5):
+    """Columns d fun / d p_k by central differences, steps
+    rel max(|p_k|, 1)."""
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for k in range(p.size):
+        step = rel * max(abs(p[k]), 1.0)
+        hi, lo = p.copy(), p.copy()
+        hi[k] += step
+        lo[k] -= step
+        cols.append((fun(hi) - fun(lo)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def assert_jacobian_matches(analytic, numeric, rel=1e-6):
+    """Each column within ``rel`` of its largest entry; a column that is
+    zero (a component held at zero amplitude) must be zero in both."""
+    assert analytic.shape == numeric.shape and analytic.any()
+    for k in range(analytic.shape[1]):
+        scale = np.abs(analytic[:, k]).max()
+        assert np.abs(analytic[:, k] - numeric[:, k]).max() <= rel * scale, k
+
+
+class TestAnalyticJacobians:
+    def test_lorentzian_pair_with_baseline(self):
+        x = np.linspace(-400.0, 400.0, 1601)
+        p = [-60.0, 30.0, 1.0, 45.0, 80.0, 0.6, 0.05]
+        values, jac = cqed_lab.inference._lorentzians(x, p, jac=True)
+        assert jac.T.flags.c_contiguous  # parameter-major
+        assert np.array_equal(values, cqed_lab.inference._lorentzians(x, p))
+        assert_jacobian_matches(jac, central_differences(
+            lambda q: cqed_lab.inference._lorentzians(x, q), p))
+
+    def test_three_component_decay_with_lead_in(self):
+        t = np.arange(-0.5, 6.0, 0.01)
+        p = [12.0, 3.0, 1.5, 2.0, 0.3, 0.5, 0.02]
+        values, jac = cqed_lab.inference._decay_model(t, p, jac=True)
+        assert jac.T.flags.c_contiguous
+        assert np.array_equal(values, cqed_lab.inference._decay_model(t, p))
+        assert not jac[t < 0.0, :-1].any()
+        assert_jacobian_matches(jac, central_differences(
+            lambda q: cqed_lab.inference._decay_model(t, q), p))
+
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_noisy_pair(with_irf=True),
+        fit_noisy_multi,
+    ], ids=["pair-irf", "multi-irf-weighted"])
+    def test_solver_gets_the_convolved_jacobian(self, monkeypatch, fit):
+        solve = cqed_lab.inference.least_squares
+        checked = []
+
+        def checking(fun, x0, jac, **kwargs):
+            res = solve(fun, x0, jac, **kwargs)
+            analytic = jac(res.x)
+            assert analytic.T.flags.c_contiguous
+            assert_jacobian_matches(analytic, central_differences(fun, res.x))
+            checked.append(res.x.size)
+            return res
+
+        monkeypatch.setattr(cqed_lab.inference, "least_squares", checking)
+        fit()
+        assert checked

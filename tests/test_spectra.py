@@ -11,6 +11,7 @@ from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       lorentzian, propagate, rabi_splitting, read_spectrum,
                       resolvent_transform, write_signal, write_spectrum)
 from cqed_lab.instrument import _META, _write_columns
+from cqed_lab.model import decay_moments, generator_matrix
 from cqed_lab.spectra import _detected_intensity, _prominent_maxima
 from oracles import fft_half_range_spectrum, simpson_integral
 
@@ -261,6 +262,47 @@ class TestAnalyticDerivatives:
             scale = np.abs(analytic).max()
             assert scale > 0.0
             assert np.abs(analytic - numeric).max() <= 1e-7 * scale
+
+    @pytest.mark.filterwarnings("ignore:interference terms")
+    @pytest.mark.parametrize("eta_qd", [0.0, 0.6 - 0.8j],
+                             ids=["eta0", "eta-complex"])
+    @pytest.mark.parametrize("delta", [0.0, 100.0, -100.0])
+    @pytest.mark.parametrize("params", [
+        MP, SystemParams(g=92.4, kappa=195.0, gamma=0.2, gamma_dp=4.0)],
+        ids=["mp", "pc"])
+    def test_match_one_transform_per_term(self, params, delta, eta_qd):
+        # reference: each of R v, its g-derivative and its omega-derivative
+        # from a separate public resolvent_transform call
+        params = params.with_(delta=delta)
+        det = DetectionCoefficients(eta_qd=eta_qd)
+        grid = default_grid(params, 2048, reach=abs(delta))
+        y = decay_moments(params)[0]
+        dy = np.linalg.solve(generator_matrix(params), np.array(
+            [2.0 * y[2], -2.0 * y[2], y[1] - y[0], 0.0]) / HBAR_UEV_NS)
+        a = correlation_kernel(params).matrix
+        hb = HBAR_UEV_NS
+
+        def channel(v, dv):
+            r = resolvent_transform(a, v, grid)
+            return (r, resolvent_transform(
+                        a, np.array([r[1], -r[0]]) / hb + dv[:, None], grid),
+                    -1j / hb * resolvent_transform(a, r, grid))
+
+        def start(u):
+            return (np.array([u[1], u[2] - 1j * u[3]]),
+                    np.array([u[2] + 1j * u[3], u[0]]))
+
+        (ca, dca), (qd, dqd) = zip(start(y), start(dy))
+        r_ca, r_qd = channel(ca, dca), channel(qd, dqd)
+        kt, gm = params.kappa / hb, params.gamma / hb
+        root = math.sqrt(kt * gm)
+        expected = [(kt * c[0] + abs(eta_qd) ** 2 * gm * q[1]
+                     + eta_qd * root * q[0]
+                     + np.conj(eta_qd) * root * c[1]).real / (math.pi * hb)
+                    for c, q in zip(r_ca, r_qd)]
+        got = _detected_intensity(params, det, grid, jac=True)
+        for row, ref in zip(got, expected):
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestRabiSplitting:
