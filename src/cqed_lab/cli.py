@@ -9,6 +9,9 @@ and deterministically: a fixed config and seed reproduce byte-identical
 files.  ``_SCHEMA`` is the reference for the config: every section and key
 (with its unit), what its value must be, and its default.  IRF files are
 read once, at load, so a run applies one kernel; a bad one exits 2.
+``[decay] delta_ueV`` is the detuning ``synthesize`` writes into its decay
+curve; analysis reads each data file's own ``detuning_ueV``, and compare-g
+refuses a file without one.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ _SCHEMA = (
      "a file name", None),
     ("instrument", "temporal_irf_fwhm_ns", "temporal_irf_fwhm", _positive,
      _POS, None),
+    # read by synthesize only: analysis takes each file's own detuning_ueV
     ("decay", "delta_ueV", "decay_delta", _number, _NUM, 0.0),
     ("decay", "t_max_ns", "decay_t_max", _positive, _POS, None),
     ("decay", "dt_ns", "decay_dt", _positive, _POS, None),
@@ -257,16 +261,26 @@ def load_config(path: str) -> ExperimentConfig:
              "cannot be combined with deltas_ueV")
     if deltas is None:
         deltas = []
-        if lo is not None or hi is not None:
+        if ranged:
             for key, value in (("delta_min_ueV", lo), ("delta_max_ueV", hi),
                                ("delta_step_ueV", step)):
                 if value is None:
                     fail("sweep", key, "is required by a sweep range")
             if hi < lo:
                 fail("sweep", "delta_max_ueV", "must be >= delta_min_ueV")
-            n = int(math.floor((hi - lo) / step + 0.5)) + 1
-            deltas = [lo + k * step for k in range(n)]
+            if step < 1e-3:
+                fail("sweep", "delta_step_ueV",
+                     "must be >= 0.001 ueV, the file-name resolution")
+            n = round((hi - lo) / step)
+            if abs(lo + n * step - hi) > 1e-9 * max(abs(lo), abs(hi), step):
+                fail("sweep", "delta_step_ueV", "must divide delta_max_ueV "
+                     "- delta_min_ueV into whole steps")
+            deltas = [lo + k * step for k in range(n + 1)]
     deltas.sort()
+    names = {_spectrum_filename(d) for d in deltas}
+    if len(set(deltas)) < len(deltas) or len(names) < len(deltas):
+        fail("sweep", "delta_step_ueV" if ranged else "deltas_ueV",
+             "repeats a detuning to the file-name resolution, 0.001 ueV")
 
     cfg_dir = os.path.dirname(os.path.abspath(path))
     for key in ("spectral_irf_file", "temporal_irf_file"):
@@ -352,6 +366,20 @@ def _system_metadata(cfg: ExperimentConfig, delta: float) -> dict:
     return meta
 
 
+def _each_input(log, paths, work) -> tuple:
+    """``work`` applied to each input path: the results, and the messages of
+    the inputs it failed on (a bad file or a failed fit).  A failure stops
+    only its own input and is logged once, naming it."""
+    results, errors = [], []
+    for path in paths:
+        try:
+            results.append(work(path))
+        except (CqedError, ValueError, OSError) as exc:
+            log.error("%s: %s", path, exc)
+            errors.append(str(exc))
+    return results, errors
+
+
 # ---------------------------------------------------------------------------
 # simulate-sweep
 
@@ -414,30 +442,25 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError(f"{cfg.path}: fit-spectra needs [system] "
                           "wavelength_nm for Q factors")
 
-    records = []
     flags = {}
-    failures = 0
-    for path in args.files:
-        try:
-            spec, meta = spectra.read_spectrum(path)
-            detuning = float(meta.get("detuning_ueV", "nan"))
-            sig = instrument.SampledSignal(spec.omega, spec.intensity,
-                                           "spectral")
-            irf = (cfg.irf("spectral", sig.step) if cfg.fit_convolve_irf
-                   else None)
-            init = inference.seed_lorentzian_pair(sig)
-            fit = inference.fit_lorentzian_pair(sig, init, irf=irf)
-            if fit.messages:
-                flags[os.path.basename(path)] = list(fit.messages)
-                log.warning("%s: pair fit flagged: %s", path,
-                            ", ".join(fit.messages))
-            rec = inference.extract_sweep_record(fit, wavelength,
-                                                 detuning=detuning,
-                                                 source=os.path.basename(path))
-            records.append(rec)
-        except (CqedError, ValueError, OSError) as exc:
-            failures += 1
-            log.error("%s: %s", path, exc)
+
+    def fit_one(path):
+        spec, meta = spectra.read_spectrum(path)
+        detuning = float(meta.get("detuning_ueV", "nan"))
+        sig = instrument.SampledSignal(spec.omega, spec.intensity, "spectral")
+        irf = cfg.irf("spectral", sig.step) if cfg.fit_convolve_irf else None
+        init = inference.seed_lorentzian_pair(sig)
+        fit = inference.fit_lorentzian_pair(sig, init, irf=irf)
+        if fit.messages:
+            flags[os.path.basename(path)] = list(fit.messages)
+            log.warning("%s: pair fit flagged: %s", path,
+                        ", ".join(fit.messages))
+        return inference.extract_sweep_record(fit, wavelength,
+                                              detuning=detuning,
+                                              source=os.path.basename(path))
+
+    records, errors = _each_input(log, args.files, fit_one)
+    failures = len(errors)
     records.sort(key=lambda r: (math.isnan(r.detuning), r.detuning))
 
     rows = ["# cqed-lab sweep-records v1",
@@ -479,100 +502,89 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
 # fit-decay
 
 
+def _fit_decay_file(cfg: ExperimentConfig, path) -> tuple:
+    """A decay file's fit through the temporal IRF, and its metadata."""
+    curve, meta = instrument.read_signal(path, domain="temporal")
+    fit = inference.fit_decay(curve, irf=cfg.irf("temporal", curve.step),
+                              mode=cfg.decay_mode)
+    return fit, meta
+
+
 def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Fit IRF-convolved multiexponentials to decay curves."""
     log = _log("fit-decay")
-    failures = 0
-    for path in args.files:
-        try:
-            curve, _ = instrument.read_signal(path, domain="temporal")
-            irf = cfg.irf("temporal", curve.step)
-            fit = inference.fit_decay(curve, irf=irf, mode=cfg.decay_mode)
-            base = os.path.splitext(os.path.basename(path))[0]
-            _write_json(os.path.join(out_dir, base + "_fit.json"),
-                        fit.to_dict())
-            log.info("%s: fast rate %.4g 1/ns", path,
-                     fit.estimates["rate_1"])
-        except (CqedError, ValueError, OSError) as exc:
-            failures += 1
-            log.error("%s: %s", path, exc)
-    return 0 if failures == 0 else 1
+
+    def fit_one(path):
+        fit, _ = _fit_decay_file(cfg, path)
+        base = os.path.splitext(os.path.basename(path))[0]
+        _write_json(os.path.join(out_dir, base + "_fit.json"), fit.to_dict())
+        log.info("%s: fast rate %.4g 1/ns", path, fit.estimates["rate_1"])
+
+    return 1 if _each_input(log, args.files, fit_one)[1] else 0
 
 
 # ---------------------------------------------------------------------------
 # compare-g
 
 
+def _stated_detuning(path, meta: dict) -> float:
+    """The ``detuning_ueV`` a data file states; refuses a file without one."""
+    if not meta.get("detuning_ueV"):
+        raise ValueError(f"{path}: no detuning_ueV given")
+    return float(meta["detuning_ueV"])
+
+
 def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Extract g from a spectrum and from a decay curve, each fitted
-    through the configured IRF of its domain, then compare the two."""
+    through the configured IRF of its domain at the detuning its file
+    states, then compare the two."""
     log = _log("compare-g")
     p = cfg.params
+
+    def spectral(path):
+        spec, meta = spectra.read_spectrum(path)
+        delta = _stated_detuning(path, meta)
+        bg = float(meta.get("background_fraction", "0") or 0.0)
+        sig = instrument.SampledSignal(spec.omega, spec.intensity, "spectral")
+        fit = inference.fit_jc_cavity_spectrum(
+            sig, p.with_(g=max(p.kappa / 4.0, 1.0), delta=delta),
+            background_fraction=bg, irf=cfg.irf("spectral", sig.step))
+        return fit, {"g_ueV": fit.estimates["g"],
+                     "g_stderr_ueV": fit.errors["g"], "detuning_ueV": delta}
+
+    def dynamical(path):
+        fit, meta = _fit_decay_file(cfg, path)
+        delta = _stated_detuning(path, meta)
+        fast = fit.estimates["rate_1"]
+        g = model.coupling_from_rate(fast, p.with_(delta=delta),
+                                     mode=cfg.coupling_mode)
+        return fit, {"g_ueV": g, "fast_rate_per_ns": fast,
+                     "inversion_mode": cfg.coupling_mode,
+                     "detuning_ueV": delta}
+
     report: dict = {"format": "cqed-lab compare-g v1",
                     "strong_coupling_threshold_ueV":
                         p.strong_coupling_threshold}
-    failures = 0
-
-    g_spec = None
-    if args.spectrum:
-        try:
-            spec, meta = spectra.read_spectrum(args.spectrum)
-            if not meta.get("detuning_ueV"):
-                raise ValueError(f"{args.spectrum}: no detuning_ueV given")
-            delta = float(meta["detuning_ueV"])
-            bg = float(meta.get("background_fraction", "0") or 0.0)
-            sig = instrument.SampledSignal(spec.omega, spec.intensity,
-                                           "spectral")
-            fit = inference.fit_jc_cavity_spectrum(
-                sig, fixed={"kappa": p.kappa, "gamma": p.gamma,
-                            "gamma_dp": p.gamma_dp, "delta": delta},
-                init_g=max(p.kappa / 4.0, 1.0), background_fraction=bg,
-                irf=cfg.irf("spectral", sig.step))
-            g_spec = fit.estimates["g"]
-            report["spectral"] = {"available": True, "g_ueV": g_spec,
-                                  "g_stderr_ueV": fit.errors["g"],
-                                  "detuning_ueV": delta,
-                                  "source": os.path.basename(args.spectrum),
-                                  "messages": list(fit.messages)}
-            log.info("spectral fit: g = %.4g ueV", g_spec)
-            if fit.messages:
-                log.warning("spectral fit flagged: %s", ", ".join(fit.messages))
-        except (CqedError, ValueError, OSError) as exc:
+    g, failures = {}, 0
+    for side, path, extract in (("spectral", args.spectrum, spectral),
+                                ("dynamical", args.decay, dynamical)):
+        done, errors = _each_input(log, [path] if path else [], extract)
+        report[side] = {"available": bool(done)}
+        if errors:
             failures += 1
-            report["spectral"] = {"available": False, "error": str(exc)}
-            log.error("spectral fit failed: %s", exc)
-    else:
-        report["spectral"] = {"available": False}
-
-    g_dyn = None
-    if args.decay:
-        try:
-            curve, _ = instrument.read_signal(args.decay, domain="temporal")
-            irf = cfg.irf("temporal", curve.step)
-            fit = inference.fit_decay(curve, irf=irf, mode=cfg.decay_mode)
-            fast = fit.estimates["rate_1"]
-            inv_params = p.with_(delta=cfg.decay_delta)
-            g_dyn = model.coupling_from_rate(fast, inv_params,
-                                             mode=cfg.coupling_mode)
-            report["dynamical"] = {"available": True, "g_ueV": g_dyn,
-                                   "fast_rate_per_ns": fast,
-                                   "inversion_mode": cfg.coupling_mode,
-                                   "detuning_ueV": cfg.decay_delta,
-                                   "source": os.path.basename(args.decay),
-                                   "messages": list(fit.messages)}
-            log.info("dynamical extraction: rate %.4g 1/ns -> g = %.4g ueV",
-                     fast, g_dyn)
+            report[side]["error"] = errors[0]
+        for fit, fields in done:
+            g[side] = fields["g_ueV"]
+            report[side].update(fields, source=os.path.basename(path),
+                                messages=list(fit.messages))
+            log.info("%s: %s g = %.4g ueV", path, side, g[side])
             if fit.messages:
-                log.warning("decay fit flagged: %s", ", ".join(fit.messages))
-        except (CqedError, ValueError, OSError) as exc:
-            failures += 1
-            report["dynamical"] = {"available": False, "error": str(exc)}
-            log.error("dynamical extraction failed: %s", exc)
-    else:
-        report["dynamical"] = {"available": False}
+                log.warning("%s: %s fit flagged: %s", path, side,
+                            ", ".join(fit.messages))
 
     lines = ["coupling-strength comparison"]
-    if g_spec is not None and g_dyn is not None:
+    if len(g) == 2:
+        g_spec, g_dyn = g["spectral"], g["dynamical"]
         cmp_ = inference.compare_coupling_estimates(
             g_spec, g_dyn, p.kappa, p.gamma, p.gamma_dp)
         report["comparison"] = cmp_.to_dict()
@@ -583,12 +595,9 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
             f"  strong-coupling threshold = {cmp_.threshold:.2f} ueV",
         ]
     else:
-        for side in ("spectral", "dynamical"):
-            info = report[side]
-            if info.get("available"):
-                lines.append(f"  {side}: g = {info['g_ueV']:.2f} ueV")
-            else:
-                lines.append(f"  {side}: unavailable")
+        lines += [f"  {side}: g = {g[side]:.2f} ueV" if side in g
+                  else f"  {side}: unavailable"
+                  for side in ("spectral", "dynamical")]
     _write_json(os.path.join(out_dir, "compare_g.json"), report)
     if not args.quiet:
         print("\n".join(lines))
@@ -602,23 +611,20 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_deconvolve(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Fourier-deconvolve signal files with the configured spectral IRF."""
     log = _log("deconvolve")
-    failures = 0
-    for path in args.files:
-        try:
-            sig, meta = instrument.read_signal(path)
-            irf = cfg.irf(sig.domain, sig.step)
-            if irf is None:
-                raise ConfigError(f"{cfg.path}: no IRF configured for "
-                                  f"{sig.domain} signals")
-            out = instrument.deconvolve(sig, irf, cfg.band_limit)
-            base = os.path.splitext(os.path.basename(path))[0]
-            meta.pop("domain", None)
-            instrument.write_signal(out, os.path.join(
-                out_dir, base + "_deconvolved.txt"), metadata=meta)
-        except (CqedError, ValueError, OSError) as exc:
-            failures += 1
-            log.error("%s: %s", path, exc)
-    return 0 if failures == 0 else 1
+
+    def deconvolve_one(path):
+        sig, meta = instrument.read_signal(path)
+        irf = cfg.irf(sig.domain, sig.step)
+        if irf is None:
+            raise ConfigError(f"{cfg.path}: no IRF configured for "
+                              f"{sig.domain} signals")
+        out = instrument.deconvolve(sig, irf, cfg.band_limit)
+        base = os.path.splitext(os.path.basename(path))[0]
+        meta.pop("domain", None)
+        instrument.write_signal(out, os.path.join(
+            out_dir, base + "_deconvolved.txt"), metadata=meta)
+
+    return 1 if _each_input(log, args.files, deconvolve_one)[1] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +633,11 @@ def cmd_deconvolve(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _counts(cfg: ExperimentConfig, values: np.ndarray, rng) -> tuple:
     """Scale ``values`` to ``peak_counts`` at their maximum, add Poisson noise."""
-    scale = cfg.peak_counts / float(values.max())
+    peak = float(values.max())
+    if not peak > 0.0:
+        raise ConfigError(f"{cfg.path}: the detected signal is zero "
+                          "everywhere (at g_ueV = 0 the cavity stays dark)")
+    scale = cfg.peak_counts / peak
     counts = values * scale
     if cfg.noise:
         counts = rng.poisson(np.clip(counts, 0.0, None)).astype(float)
@@ -708,16 +718,24 @@ def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
 # entry point
 
 
-def _add_common(sub, with_files=False):
-    sub.add_argument("--config", required=True, help="experiment config file")
-    sub.add_argument("--out", default=None, help="output directory "
-                     "(default: [output] out_dir)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for sweep points")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress everything but errors")
-    if with_files:
-        sub.add_argument("files", nargs="+", help="input data files")
+_FILES = (("files", {"nargs": "+", "help": "input data files"}),)
+# Each subcommand: name, help, handler, and the arguments it adds to the
+# common ones.
+_COMMANDS = (
+    ("simulate-sweep", "simulate a detuning sweep: rates and spectra",
+     cmd_simulate_sweep, ()),
+    ("fit-spectra", "pair-fit spectra and classify the sweep",
+     cmd_fit_spectra, _FILES),
+    ("fit-decay", "fit decay curves through the IRF", cmd_fit_decay, _FILES),
+    ("compare-g", "compare spectral vs dynamical coupling strengths",
+     cmd_compare_g, (("--spectrum", {"help": "spectrum data file"}),
+                     ("--decay", {"help": "decay-curve data file"}))),
+    ("deconvolve", "Fourier-deconvolve data files", cmd_deconvolve, _FILES),
+    ("synthesize", "generate noisy synthetic data with truth sidecars",
+     cmd_synthesize, (("--seed", {"type": int, "help": "RNG seed, an "
+                                  "integer >= 0 (default: [output] seed, "
+                                  "else 0)"}),)),
+)
 
 
 def main(argv=None) -> int:
@@ -726,41 +744,19 @@ def main(argv=None) -> int:
         description="Simulate emitter-cavity dynamics and spectra; extract "
                     "coupling strengths from decay curves and Rabi splittings.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("simulate-sweep",
-                          help="simulate a detuning sweep: rates and spectra")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_simulate_sweep)
-
-    sub = subs.add_parser("fit-spectra",
-                          help="pair-fit spectra and classify the sweep")
-    _add_common(sub, with_files=True)
-    sub.set_defaults(func=cmd_fit_spectra)
-
-    sub = subs.add_parser("fit-decay", help="fit decay curves through the IRF")
-    _add_common(sub, with_files=True)
-    sub.set_defaults(func=cmd_fit_decay)
-
-    sub = subs.add_parser("compare-g",
-                          help="compare spectral vs dynamical coupling "
-                               "strengths")
-    _add_common(sub)
-    sub.add_argument("--spectrum", default=None, help="spectrum data file")
-    sub.add_argument("--decay", default=None, help="decay-curve data file")
-    sub.set_defaults(func=cmd_compare_g)
-
-    sub = subs.add_parser("deconvolve", help="Fourier-deconvolve data files")
-    _add_common(sub, with_files=True)
-    sub.set_defaults(func=cmd_deconvolve)
-
-    sub = subs.add_parser("synthesize",
-                          help="generate noisy synthetic data with truth "
-                               "sidecars")
-    _add_common(sub)
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed, an integer >= 0 (default: [output] "
-                          "seed, else 0)")
-    sub.set_defaults(func=cmd_synthesize)
+    for name, help_, func, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_)
+        sub.add_argument("--config", required=True,
+                         help="experiment config file")
+        sub.add_argument("--out", default=None, help="output directory "
+                         "(default: [output] out_dir)")
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (simulate-sweep only)")
+        sub.add_argument("--quiet", action="store_true",
+                         help="suppress everything but errors")
+        for flag, kwargs in arguments:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     logging.basicConfig(stream=sys.stderr, format="[%(name)s] %(message)s",

@@ -74,7 +74,8 @@ _SEED_SMOOTH = 5
 
 @dataclass
 class FitResult:
-    """Converged parameter estimates with curvature-based standard errors."""
+    """Converged parameter estimates with curvature-based standard errors;
+    ``iterations`` counts residual evaluations (the solver's ``nfev``)."""
 
     estimates: dict
     errors: dict
@@ -661,18 +662,17 @@ def fit_decay(curve: SampledSignal, irf: IrfKernel | None = None,
     return out
 
 
-def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
-                           init_g: float,
+def fit_jc_cavity_spectrum(spec: SampledSignal, start: SystemParams,
                            background_fraction: float = 0.0,
                            irf: IrfKernel | None = None) -> FitResult:
     """Extract the coupling strength from a near-resonance cavity spectrum.
 
-    All rates except g are held at their measured values
-    (``fixed`` supplies kappa, gamma, gamma_dp, delta, in ueV); the free
-    parameters are g plus an overall amplitude and center offset.  The
-    forward model is the cavity-detected emission spectrum (eta_qd = 0) on
-    the data's own grid, its time integrals in closed form, convolved with
-    ``irf`` (the spectrometer response) when one is given.
+    Every parameter of ``start`` but g -- the measured kappa, gamma,
+    gamma_dp and the detuning delta, in ueV -- is held; the free parameters
+    are g, starting at ``start.g``, plus an overall amplitude and center
+    offset.  The forward model is the cavity-detected emission spectrum
+    (eta_qd = 0) on the data's own grid, its time integrals in closed form,
+    convolved with ``irf`` (the spectrometer response) when one is given.
 
     The fit is flagged ``model-mismatch`` when its residual lies far above
     the noise of the data, i.e. when no g reproduces the measured line
@@ -688,26 +688,22 @@ def fit_jc_cavity_spectrum(spec: SampledSignal, fixed: dict,
     3 (sum d^2)^2/sum(d^4).  The flag is raised beyond five of those
     standard deviations above 1 (1.16 for 1801 points of uniform noise).
     """
-    for key in ("kappa", "gamma", "gamma_dp", "delta"):
-        if key not in fixed or not math.isfinite(fixed[key]):
-            raise ValueError(f"fixed parameter {key!r} missing or not finite")
     x, y = spec.grid, spec.values
     det = DetectionCoefficients(eta_ca=1.0, eta_qd=0.0,
                                 background_fraction=background_fraction)
 
     def forward(x, p, jac=False):
         g, amp, offset = p
-        params = SystemParams(g=g, kappa=fixed["kappa"], gamma=fixed["gamma"],
-                              gamma_dp=fixed["gamma_dp"], delta=fixed["delta"])
+        params = start.with_(g=g)
         if not jac:
             return amp * _detected_intensity(params, det, x - offset)
         i, di_dg, di_dw = _detected_intensity(params, det, x - offset, True)
         return amp * i, np.array([amp * di_dg, i, -amp * di_dw]).T
 
-    model0 = forward(x, [init_g, 1.0, 0.0])
+    model0 = forward(x, [start.g, 1.0, 0.0])
     peak0 = float(np.abs(model0).max()) or 1.0
     amp0 = float(np.abs(y).max()) / peak0
-    p0 = [init_g, amp0, 0.0]
+    p0 = [start.g, amp0, 0.0]
     res = _solve(forward, spec, p0, [0.0, 0.0, -np.inf], irf=irf)
     out = _finish(res, ["g", "amplitude", "center_offset"])
     if not out.converged:

@@ -51,8 +51,9 @@ _BAND_N_FFT = 1 << 14
 
 def _check_uniform(grid: np.ndarray, what: str) -> float:
     d = np.diff(grid)
-    if d.size == 0 or d.min() <= 0:
-        raise GridError(f"{what}: grid must be strictly increasing")
+    if d.size == 0 or not np.isfinite(grid).all() or d.min() <= 0:
+        raise GridError(f"{what}: grid must be finite and strictly "
+                        "increasing")
     step = float(grid[1] - grid[0])  # the step every .step property reports
     if np.ptp(d) > _GRID_JITTER * step:
         raise GridError(f"{what}: grid not uniform (step jitter "
@@ -342,6 +343,9 @@ def _read_columns(path) -> tuple[np.ndarray, np.ndarray, dict]:
         raise
     if data.shape[0] < 2:
         raise GridError(f"{path}: fewer than two samples")
+    if not np.isfinite(data).all():
+        raise GridError(f"{path}: non-finite number in data row "
+                        f"{int(np.nonzero(~np.isfinite(data))[0][0]) + 1}")
     xs, ys = data.T.copy()
     return xs, ys, meta
 

@@ -375,23 +375,56 @@ def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
     assert verdict["label"] == "unclassified"
 
 
-@pytest.mark.parametrize("value", [None, ""], ids=["removed", "empty"])
+@pytest.mark.parametrize("side,value", [
+    ("spectral", None), ("spectral", ""), ("dynamical", None)],
+    ids=["removed", "empty", "decay-removed"])
 def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
-                                               value):
+                                               side, value):
     # the MP spectrum at delta = +150: fitted as if at delta = 0, g comes out
-    # far from the truth
+    # far from the truth; a decay curve is inverted at its own detuning too
     config, data = mp_synth
-    spectrum = without_detuning(data / cli._spectrum_filename(150.0),
-                                tmp_path / "spectrum.txt", value)
+    files = {"spectral": data / cli._spectrum_filename(150.0),
+             "dynamical": data / "decay.txt"}
+    files[side] = without_detuning(files[side], tmp_path / "stripped.txt",
+                                   value)
     out = tmp_path / "cmp"
     assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
-                     "--quiet", "--spectrum", str(spectrum),
-                     "--decay", str(data / "decay.txt")]) == 1
+                     "--quiet", "--spectrum", str(files["spectral"]),
+                     "--decay", str(files["dynamical"])]) == 1
     report = json.loads((out / "compare_g.json").read_text())
-    assert report["spectral"]["available"] is False
-    assert "detuning_ueV" in report["spectral"]["error"]
-    assert report["dynamical"]["available"]
+    other = ({"spectral", "dynamical"} - {side}).pop()
+    assert report[side]["available"] is False
+    assert "detuning_ueV" in report[side]["error"]
+    assert report[other]["available"]
     assert "detuning_ueV" in caplog.text
+
+
+def test_compare_g_inverts_a_decay_at_the_detuning_it_states(tmp_path):
+    # a decay synthesized at delta = 50 ueV gives the same g whatever
+    # [decay] delta_ueV the analysing config holds; read at delta = 0, the
+    # MP curve gave g = 17.6 for a truth of 22.6
+    configs = {}
+    for delta in (50, 0):
+        configs[delta] = tmp_path / f"delta{delta}.ini"
+        write_config(configs[delta], "mp", "\n[fit]\ncoupling_mode = full\n"
+                     f"\n[decay]\ndelta_ueV = {delta}\n")
+        configs[delta].write_text(configs[delta].read_text()
+                                  .replace(SYSTEMS["mp"][1], "0"))
+    data = tmp_path / "data"
+    assert cli.main(["synthesize", "--config", str(configs[50]), "--out",
+                     str(data), "--seed", "1", "--quiet"]) == 0
+    dynamical = {}
+    for delta, config in configs.items():
+        out = tmp_path / f"cmp{delta}"
+        assert cli.main(["compare-g", "--config", str(config), "--out",
+                         str(out), "--quiet",
+                         "--decay", str(data / "decay.txt")]) == 0
+        dynamical[delta] = json.loads(
+            (out / "compare_g.json").read_text())["dynamical"]
+    assert dynamical[0]["detuning_ueV"] == dynamical[50]["detuning_ueV"] == 50
+    assert dynamical[0]["g_ueV"] == pytest.approx(dynamical[50]["g_ueV"],
+                                                  rel=1e-9)
+    assert dynamical[0]["g_ueV"] == pytest.approx(22.6, abs=0.5)
 
 
 def test_compare_g_reports_a_missing_decay_side(tmp_path, mp_synth):
@@ -423,6 +456,21 @@ def test_deconvolve_without_temporal_irf_fails_that_file(tmp_path, mp_synth):
     out = tmp_path / "dec"
     assert cli.main(["deconvolve", "--config", str(config), "--out", str(out),
                      "--quiet", str(data / "decay.txt"), str(spectrum)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        spectrum.stem + "_deconvolved.txt"]
+
+
+def test_deconvolve_fails_a_file_with_a_nan_grid_value(tmp_path, mp_synth):
+    config, data = mp_synth
+    spectrum = data / cli._spectrum_filename(0.0)
+    lines = spectrum.read_text().splitlines(keepends=True)
+    row = len(lines) // 2
+    lines[row] = "nan " + lines[row].split(" ", 1)[1]
+    broken = tmp_path / "broken.txt"
+    broken.write_text("".join(lines))
+    out = tmp_path / "dec"
+    assert cli.main(["deconvolve", "--config", str(config), "--out", str(out),
+                     "--quiet", str(broken), str(spectrum)]) == 1
     assert sorted(p.name for p in out.iterdir()) == [
         spectrum.stem + "_deconvolved.txt"]
 
@@ -601,12 +649,23 @@ def test_simulate_sweep_jobs_write_the_same_bytes(tmp_path):
      "spectrometer_q = 40000.0"),
     ("[instrument]\n", "[instrument]\ntemporal_irf_file = irf.txt\n",
      "temporal_irf_fwhm_ns = 0.05"),
+    ("deltas_ueV = -50, 0, 50", "delta_min_ueV = 0\ndelta_max_ueV = 100\n"
+     "delta_step_ueV = 40", "delta_step_ueV = 40"),
+    ("deltas_ueV = -50, 0, 50", "delta_step_ueV = 50", None),
+    ("deltas_ueV = -50, 0, 50", "deltas_ueV = -50, 0, -0",
+     "deltas_ueV = -50, 0, -0"),
+    ("deltas_ueV = -50, 0, 50", "deltas_ueV = 0.0001, 0.0002",
+     "deltas_ueV = 0.0001, 0.0002"),
+    ("deltas_ueV = -50, 0, 50", "delta_min_ueV = 0\ndelta_max_ueV = 0.0004\n"
+     "delta_step_ueV = 0.0002", "delta_step_ueV = 0.0002"),
 ], ids=["empty-section", "unknown-section", "unknown-key", "duplicate-key",
         "key-outside-section", "not-key-value", "bad-number", "bad-list",
         "bad-boolean", "bad-choice", "small-grid", "missing-key",
         "missing-system", "missing-irf-file", "q-without-wavelength",
         "range-without-step", "list-and-range", "q-and-irf-fwhm",
-        "spectral-irf-file-and-q", "temporal-irf-file-and-fwhm"])
+        "spectral-irf-file-and-q", "temporal-irf-file-and-fwhm",
+        "inexact-range", "lone-range-key", "equal-detunings",
+        "shared-file-name", "fine-step"])
 def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     text = VALID + new if not old else VALID.replace(old, new, 1)
     assert text != VALID
@@ -614,9 +673,11 @@ def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     assert_config_error(tmp_path, caplog, text, marker)
 
 
-@pytest.mark.parametrize("command", ["synthesize", "simulate-sweep"])
-def test_unusable_irf_file_exits_2(tmp_path, caplog, command):
-    (tmp_path / "irf.txt").write_text("-1 1\n0 -2\n1 1\n")
+@pytest.mark.parametrize("command,count", [
+    ("synthesize", "-2"), ("simulate-sweep", "-2"), ("synthesize", "nan")],
+    ids=["synthesize", "simulate-sweep", "nan-count"])
+def test_unusable_irf_file_exits_2(tmp_path, caplog, command, count):
+    (tmp_path / "irf.txt").write_text(f"-1 1\n0 {count}\n1 1\n")
     text = VALID.replace("spectrometer_q = 40000.0",
                          "spectral_irf_file = irf.txt")
     assert_config_error(tmp_path, caplog, text, "spectral_irf_file = irf.txt",
@@ -654,6 +715,14 @@ def test_command_rejecting_its_config_leaves_no_directory(
                    if line.split(" = ")[0] not in dropped)
     assert_config_error(tmp_path, caplog, text, None, command=command,
                         files=[str(tmp_path / f) for f in files])
+
+
+def test_synthesize_without_detected_light_exits_2(tmp_path, caplog):
+    # at g = 0 the cavity never fills, and eta_qd = 0 collects no emitter
+    # light: the spectra are zero everywhere, with no peak to scale
+    assert_config_error(tmp_path, caplog,
+                        VALID.replace("g_ueV = 22.6", "g_ueV = 0"), None)
+    assert "zero everywhere" in caplog.text
 
 
 def test_decay_horizon_under_ten_steps_writes_nothing(tmp_path, caplog):

@@ -367,7 +367,7 @@ class TestFitJcCavitySpectrum:
 
     def test_self_consistent_recovery(self):
         sig = self.synth(92.4, amp=3.7)
-        fit = fit_jc_cavity_spectrum(sig, PC_FIXED, init_g=60.0)
+        fit = fit_jc_cavity_spectrum(sig, SystemParams(g=60.0, **PC_FIXED))
         assert fit.estimates["g"] == pytest.approx(92.4, rel=0.01)
         assert fit.estimates["amplitude"] == pytest.approx(3.7, rel=0.01)
 
@@ -380,7 +380,7 @@ class TestFitJcCavitySpectrum:
         noisy = SampledSignal(self.grid,
                               bare + rng.normal(0.0, 0.005, self.grid.size),
                               "spectral")
-        fit = fit_jc_cavity_spectrum(noisy, PC_FIXED, init_g=5.0)
+        fit = fit_jc_cavity_spectrum(noisy, SystemParams(g=5.0, **PC_FIXED))
         assert "model-mismatch" in fit.messages
 
     def test_model_plus_noise_not_flagged(self):
@@ -389,7 +389,7 @@ class TestFitJcCavitySpectrum:
         noisy = SampledSignal(self.grid, line / line.max()
                               + rng.normal(0.0, 0.005, self.grid.size),
                               "spectral")
-        fit = fit_jc_cavity_spectrum(noisy, PC_FIXED, init_g=5.0)
+        fit = fit_jc_cavity_spectrum(noisy, SystemParams(g=5.0, **PC_FIXED))
         assert "model-mismatch" not in fit.messages
         assert fit.estimates["g"] == pytest.approx(92.4, rel=0.01)
 
@@ -401,7 +401,7 @@ class TestFitJcCavitySpectrum:
         # the doublet is resolved (two maxima) only above g ~ 80
         g114 = brentq(splitting_minus_target, 85.0, 120.0, xtol=1e-4)
         sig = self.synth(g114)
-        fit = fit_jc_cavity_spectrum(sig, PC_FIXED, init_g=50.0)
+        fit = fit_jc_cavity_spectrum(sig, SystemParams(g=50.0, **PC_FIXED))
         assert fit.estimates["g"] == pytest.approx(g114, rel=0.01)
         assert fit.estimates["g"] == pytest.approx(92.4, rel=0.10)
 
@@ -540,7 +540,8 @@ def test_fitters_call_the_module_level_solver(monkeypatch):
     fits = {
         "pair": lambda: fit_lorentzian_pair(blurred, init, irf=irf),
         "decay": lambda: fit_decay(curve, irf=decay_irf, mode="multi"),
-        "jc": lambda: fit_jc_cavity_spectrum(jc, PC_FIXED, init_g=60.0),
+        "jc": lambda: fit_jc_cavity_spectrum(
+            jc, SystemParams(g=60.0, **PC_FIXED)),
     }
     plain = {name: fit().to_dict() for name, fit in fits.items()}
     solve = cqed_lab.inference.least_squares
@@ -587,7 +588,7 @@ def fit_noisy_jc():
     line = TestFitJcCavitySpectrum().synth(92.4).values
     noise = np.random.default_rng(8).normal(0.0, 0.005, grid.size)
     spec = SampledSignal(grid, line / line.max() + noise, "spectral")
-    return fit_jc_cavity_spectrum(spec, PC_FIXED, init_g=60.0)
+    return fit_jc_cavity_spectrum(spec, SystemParams(g=60.0, **PC_FIXED))
 
 
 def fit_near_merged_pair():
