@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,9 +375,29 @@ def _each_input(log, paths, work) -> tuple:
         try:
             results.append(work(path))
         except (CqedError, ValueError, OSError) as exc:
-            log.error("%s: %s", path, exc)
             errors.append(str(exc))
+            # name the path once: most messages carry it already
+            prefix = "" if path in errors[-1] else f"{path}: "
+            log.error("%s%s", prefix, exc)
     return results, errors
+
+
+def _stated_detuning(path, meta: dict, required: bool = True) -> float:
+    """A data file's ``detuning_ueV``: NaN if missing or blank, unless
+    ``required``; refused if it is anything else but a finite number."""
+    text = meta.get("detuning_ueV", "")
+    if not text:
+        if required:
+            raise ValueError(f"{path}: no detuning_ueV given")
+        return math.nan
+    try:
+        delta = float(text)
+    except ValueError:
+        delta = math.nan
+    if not math.isfinite(delta):
+        raise ValueError(f"{path}: detuning_ueV = {text!r} is not a finite "
+                         "number")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +411,9 @@ def _forward_point(cfg: ExperimentConfig, delta: float) -> tuple:
     convolve_irf`` is set (the config then has one).
     """
     params = cfg.params.with_(delta=delta)
-    grid = cfg.spectrum_grid()
-    spec = spectra.emission_spectrum(params, cfg.det, grid)
+    spec = spectra.emission_spectrum(params, cfg.det, cfg.spectrum_grid())
     if cfg.convolve_irf:
-        irf = cfg.irf("spectral", float(grid[1] - grid[0]))
-        sig = instrument.SampledSignal(grid, spec.intensity, "spectral")
-        spec.intensity = instrument.convolve(sig, irf).values
+        spec = instrument.convolve(spec, cfg.irf("spectral", spec.step))
     return model.mean_decay_rate(params), spec
 
 
@@ -446,11 +463,10 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
     def fit_one(path):
         spec, meta = spectra.read_spectrum(path)
-        detuning = float(meta.get("detuning_ueV", "nan"))
-        sig = instrument.SampledSignal(spec.omega, spec.intensity, "spectral")
-        irf = cfg.irf("spectral", sig.step) if cfg.fit_convolve_irf else None
-        init = inference.seed_lorentzian_pair(sig)
-        fit = inference.fit_lorentzian_pair(sig, init, irf=irf)
+        detuning = _stated_detuning(path, meta, required=False)
+        irf = cfg.irf("spectral", spec.step) if cfg.fit_convolve_irf else None
+        init = inference.seed_lorentzian_pair(spec)
+        fit = inference.fit_lorentzian_pair(spec, init, irf=irf)
         if fit.messages:
             flags[os.path.basename(path)] = list(fit.messages)
             log.warning("%s: pair fit flagged: %s", path,
@@ -527,13 +543,6 @@ def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
 # compare-g
 
 
-def _stated_detuning(path, meta: dict) -> float:
-    """The ``detuning_ueV`` a data file states; refuses a file without one."""
-    if not meta.get("detuning_ueV"):
-        raise ValueError(f"{path}: no detuning_ueV given")
-    return float(meta["detuning_ueV"])
-
-
 def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Extract g from a spectrum and from a decay curve, each fitted
     through the configured IRF of its domain at the detuning its file
@@ -545,10 +554,9 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
         spec, meta = spectra.read_spectrum(path)
         delta = _stated_detuning(path, meta)
         bg = float(meta.get("background_fraction", "0") or 0.0)
-        sig = instrument.SampledSignal(spec.omega, spec.intensity, "spectral")
         fit = inference.fit_jc_cavity_spectrum(
-            sig, p.with_(g=max(p.kappa / 4.0, 1.0), delta=delta),
-            background_fraction=bg, irf=cfg.irf("spectral", sig.step))
+            spec, p.with_(g=max(p.kappa / 4.0, 1.0), delta=delta),
+            background_fraction=bg, irf=cfg.irf("spectral", spec.step))
         return fit, {"g_ueV": fit.estimates["g"],
                      "g_stderr_ueV": fit.errors["g"], "detuning_ueV": delta}
 
@@ -631,17 +639,18 @@ def cmd_deconvolve(args, cfg: ExperimentConfig, out_dir: str) -> int:
 # synthesize
 
 
-def _counts(cfg: ExperimentConfig, values: np.ndarray, rng) -> tuple:
-    """Scale ``values`` to ``peak_counts`` at their maximum, add Poisson noise."""
-    peak = float(values.max())
+def _counts(cfg: ExperimentConfig, sig, rng) -> tuple:
+    """``sig`` scaled to ``peak_counts`` at its peak with Poisson noise,
+    and the scale."""
+    peak = float(sig.values.max())
     if not peak > 0.0:
         raise ConfigError(f"{cfg.path}: the detected signal is zero "
                           "everywhere (at g_ueV = 0 the cavity stays dark)")
     scale = cfg.peak_counts / peak
-    counts = values * scale
+    counts = sig.values * scale
     if cfg.noise:
         counts = rng.poisson(np.clip(counts, 0.0, None)).astype(float)
-    return counts, scale
+    return replace(sig, values=counts), scale
 
 
 def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
@@ -659,7 +668,7 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     sig = instrument.SampledSignal(grid, vals, "temporal")
     if irf is not None:
         sig = instrument.convolve(sig, irf)
-    counts, _ = _counts(cfg, sig.values, rng)
+    decay, _ = _counts(cfg, sig, rng)
     truth = {
         "kind": "decay",
         "detuning_ueV": cfg.decay_delta,
@@ -667,7 +676,7 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
                        "gamma": params.gamma, "gamma_dp": params.gamma_dp},
         "mean_decay_rate_per_ns": model.mean_decay_rate(params),
     }
-    return instrument.SampledSignal(grid, counts, "temporal"), truth
+    return decay, truth
 
 
 def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
@@ -683,7 +692,7 @@ def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     for idx, delta in enumerate(cfg.deltas):
         rng = np.random.default_rng((seed, 1, idx))
         rate, spec = _forward_point(cfg, delta)
-        spec.intensity, scale = _counts(cfg, spec.intensity, rng)
+        spec, scale = _counts(cfg, spec, rng)
         p = cfg.params
         truth = {
             "kind": "spectrum",

@@ -2,13 +2,13 @@
 
 Two-time field correlations of the linear single-excitation model evolve in
 the time difference tau under a 2x2 generator (quantum regression).  The
-detected spectrum is the half-range Fourier transform of the time-integrated
-first-order correlation, evaluated in closed form through the resolvent of
-that generator; the detected field mixes the cavity and emitter channels
-with complex collection coefficients, which produces interference terms on
-top of the two channel spectra.  The equal-time correlations enter through
-their time integrals, which :func:`cqed_lab.model.decay_moments` gives in
-closed form; no trajectory need be sampled.
+detected field is one combination of the cavity and emitter channels, so
+its spectrum, the half-range Fourier transform of the time-integrated
+first-order correlation, is kappa Re[c . R w] / (pi hbar) in closed form:
+R is the generator's resolvent, w = eta_ca v_ca + m v_qd one start vector
+with m = eta_qd sqrt(gamma/kappa), and c = conj(eta_ca, m).  The equal-time
+correlations enter through their time integrals, which
+:func:`cqed_lab.model.decay_moments` gives in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PeakError
-from .instrument import _check_uniform, _read_columns, _write_columns
+from .instrument import SampledSignal, _read_columns, _write_columns
 from .model import SystemParams, decay_moments, generator_matrix
 # bound here as well: the tracing self-test checks that wrapping leaves
 # spectra.propagate and model.propagate the same object
@@ -68,16 +68,17 @@ class DetectionCoefficients:
             raise ValueError("background_fraction must lie in [0, 1)")
 
 
-@dataclass
-class Spectrum:
+class Spectrum(SampledSignal):
     """Intensity samples on a uniform grid of offsets from the emitter
-    energy (ueV)."""
+    energy (ueV); ``omega`` and ``intensity`` read its grid and values."""
 
-    omega: np.ndarray
-    intensity: np.ndarray
+    @property
+    def omega(self) -> np.ndarray:
+        return self.grid
 
-    def __post_init__(self):
-        _check_uniform(self.omega, "spectrum")
+    @property
+    def intensity(self) -> np.ndarray:
+        return self.values
 
 
 @dataclass
@@ -109,14 +110,16 @@ def correlation_kernel(params: SystemParams) -> CorrelationKernel:
         If the population generator has a non-decaying mode.
     """
     return CorrelationKernel(matrix=_correlation_generator(params),
-                             v0=_start_vectors(decay_moments(params)[0])[0])
+                             v0=_start_vector(decay_moments(params)[0]))
 
 
-def _start_vectors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cavity and emitter start vectors, (int rho_ca, int conj(rho_po)) and
-    (int rho_po, int rho_qd) dt, linear in the real time integrals y."""
-    return (np.array([y[1], y[2] - 1j * y[3]]),
-            np.array([y[2] + 1j * y[3], y[0]]))
+def _start_vector(y: np.ndarray, eta_ca: complex = 1.0,
+                  m: complex = 0.0) -> np.ndarray:
+    """The start vector w = eta_ca v_ca + m v_qd, linear in the real time
+    integrals y, of the cavity channel's v_ca = (int rho_ca, int conj(rho_po))
+    dt and the emitter channel's v_qd = (int rho_po, int rho_qd) dt."""
+    return (eta_ca * np.array([y[1], y[2] - 1j * y[3]])
+            + m * np.array([y[2] + 1j * y[3], y[0]]))
 
 
 def _correlation_generator(params: SystemParams) -> np.ndarray:
@@ -175,13 +178,13 @@ def _resolvent(matrix: np.ndarray, omega: np.ndarray):
     w = np.asarray(omega, dtype=float) / HBAR_UEV_NS
     a01, a10 = matrix[0, 1], matrix[1, 0]
     d00, d11 = matrix[0, 0] - 1j * w, matrix[1, 1] - 1j * w
-    det = d00 * d11 - a01 * a10
-    if np.any(det == 0.0):
+    ndet = a01 * a10 - d00 * d11  # -det, so no row is negated
+    if np.any(ndet == 0.0):
         raise ZeroDivisionError("singular resolvent; generator is not dissipative")
 
     def apply(v):
-        return (-(d11 * v[0] - a01 * v[1]) / det,
-                -(-a10 * v[0] + d00 * v[1]) / det)
+        return ((d11 * v[0] - a01 * v[1]) / ndet,
+                (d00 * v[1] - a10 * v[0]) / ndet)
 
     return apply
 
@@ -200,8 +203,8 @@ def emission_spectrum(params: SystemParams,
                       grid: np.ndarray | None = None) -> Spectrum:
     """Detected emission spectrum for an initially excited emitter.
 
-    The spectrum is assembled from the resolvent of the correlation
-    generator with the channel weights kappa, gamma, sqrt(kappa*gamma), and
+    The spectrum is one resolvent application of the correlation generator
+    to the detected field's start vector (:func:`_detected_intensity`), and
     is normalized so that each channel integrates to its emitted photon
     number.  The equal-time correlations it starts from are time integrals
     of the population dynamics, taken in closed form, -M^-1 y0 for the
@@ -237,53 +240,39 @@ def emission_spectrum(params: SystemParams,
         grid = default_grid(params)
     grid = np.asarray(grid, dtype=float)
     _check_coverage(params, det, grid)
-    intensity = _detected_intensity(params, det, grid)
-    return Spectrum(omega=grid, intensity=intensity)
+    return Spectrum(grid, _detected_intensity(params, det, grid))
 
 
 def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
                         grid: np.ndarray, jac: bool = False) -> np.ndarray:
     """Intensity of :func:`emission_spectrum` on any grid, unchecked.
 
-    With ``jac`` the result has three rows: the intensity and its analytic
-    derivatives with respect to g and to the grid offset omega.  For
-    r = R v, R the resolvent of the correlation generator A,
-    dr/dg = R (dA/dg r + dv/dg) and dr/domega = -(i/hbar) R r; the time
-    integrals y = -M^-1 y0 move as dy/dg = -M^-1 (dM/dg) y.
+    The detected field gives kappa Re[c . R w] / (pi hbar): R is the
+    resolvent of the correlation generator A, w = eta_ca v_ca + m v_qd the
+    start vector with m = eta_qd sqrt(gamma/kappa), and c = conj(eta_ca, m).
+    With ``jac`` two rows follow, the analytic derivatives with respect to
+    g and to the grid offset omega: for r = R w, dr/dg = R (dA/dg r + dw/dg)
+    and dr/domega = -(i/hbar) R r, where y = -M^-1 y0 moves as
+    dy/dg = -M^-1 (dM/dg) y.  That is one resolvent application, or three
+    with ``jac``, for any eta_qd.
     """
     y = decay_moments(params)[0]
     resolve = _resolvent(_correlation_generator(params), grid)
-    starts = _start_vectors(y)
+    eca = complex(det.eta_ca)
+    m = complex(det.eta_qd) * math.sqrt(params.gamma / params.kappa)
+    kt = params.kappa / HBAR_UEV_NS
+    c = kt * np.conj([eca, m])
+    r = resolve(_start_vector(y, eca, m))
+    rows = [r]
     if jac:  # M is linear in g: (dM/dg) y = (-2 y2, 2 y2, y0 - y1, 0)/hbar
         dy = np.linalg.solve(generator_matrix(params), np.array(
             [2.0 * y[2], -2.0 * y[2], y[1] - y[0], 0.0]) / HBAR_UEV_NS)
-        d_starts = _start_vectors(dy)
-
-    def transform(k):  # rows of R v of channel k; with jac, d/dg and d/domega
-        r = resolve(starts[k])
-        if not jac:
-            return [r]
-        dv = d_starts[k]  # A is linear in g: dA/dg r = (r1, -r0)/hbar
-        return [r, resolve((r[1] / HBAR_UEV_NS + dv[0],
-                            -r[0] / HBAR_UEV_NS + dv[1])),
-                [-1j / HBAR_UEV_NS * u for u in resolve(r)]]
-
-    kt = params.kappa / HBAR_UEV_NS
-    gm = params.gamma / HBAR_UEV_NS
-    eca, eqd = complex(det.eta_ca), complex(det.eta_qd)
-    root = math.sqrt(kt * gm)
-    r_ca = transform(0)
-    r_qd = transform(1) if eqd != 0 else r_ca
-    rows = []
-    for ca, qd in zip(r_ca, r_qd):
-        terms = abs(eca) ** 2 * kt * ca[0]
-        if eqd != 0:
-            terms = (terms
-                     + abs(eqd) ** 2 * gm * qd[1]
-                     + np.conj(eca) * eqd * root * qd[0]
-                     + np.conj(eqd) * eca * root * ca[1])
-        rows.append(terms.real / (math.pi * HBAR_UEV_NS))
-    intensity = np.array(rows)
+        dw = _start_vector(dy, eca, m)  # dA/dg r = (r1, -r0)/hbar
+        rows += [resolve((r[1] / HBAR_UEV_NS + dw[0],
+                          -r[0] / HBAR_UEV_NS + dw[1])),
+                 [-1j / HBAR_UEV_NS * u for u in resolve(r)]]
+    intensity = np.array([(c[0] * u0 + c[1] * u1).real for u0, u1 in rows])
+    intensity /= math.pi * HBAR_UEV_NS
 
     peak = float(np.abs(intensity[0]).max()) or 1.0
     if intensity[0].min() < -1e-9 * peak:
@@ -305,8 +294,8 @@ def _detected_intensity(params: SystemParams, det: DetectionCoefficients,
     return intensity if jac else intensity[0]
 
 
-def rabi_splitting(spec: Spectrum) -> float:
-    """Frequency separation (ueV) of the two spectral maxima.
+def rabi_splitting(spec: SampledSignal) -> float:
+    """Frequency separation (ueV) of the two maxima of a spectral signal.
 
     A maximum qualifies when it stands ``_PROMINENCE`` (relative to the
     global maximum) above the dip that separates it from every other
@@ -318,7 +307,7 @@ def rabi_splitting(spec: Spectrum) -> float:
     PeakError
         If the spectrum does not show exactly two qualifying maxima.
     """
-    y = spec.intensity
+    y = spec.values
     depth = _PROMINENCE * float(y.max())
     # equal heights do not end the search for a base, so tied maxima both
     # clear the base rule; neighbours are also told apart by their dip
@@ -332,7 +321,6 @@ def rabi_splitting(spec: Spectrum) -> float:
     if len(idx) != 2:
         raise PeakError(
             f"expected exactly two spectral maxima, found {len(idx)}")
-    step = float(spec.omega[1] - spec.omega[0])
     positions = []
     for i in idx:
         if 0 < i < y.size - 1:
@@ -340,7 +328,7 @@ def rabi_splitting(spec: Spectrum) -> float:
             shift = 0.5 * (y[i - 1] - y[i + 1]) / denom if denom != 0 else 0.0
         else:
             shift = 0.0
-        positions.append(spec.omega[i] + shift * step)
+        positions.append(spec.grid[i] + shift * spec.step)
     return float(abs(positions[1] - positions[0]))
 
 
@@ -368,13 +356,14 @@ def _prominent_maxima(y: np.ndarray, depth: float) -> list:
     return keep
 
 
-def write_spectrum(spec: Spectrum, path, metadata: dict | None = None) -> None:
-    """Write a spectrum to two-column text with '#' header lines."""
+def write_spectrum(spec: SampledSignal, path,
+                   metadata: dict | None = None) -> None:
+    """Write a spectral signal to two-column text with '#' header lines."""
     lines = ["# cqed-lab spectrum v1", "# frame = offset"]
     for key in sorted(metadata or {}):
         lines.append(f"# {key} = {metadata[key]}")
     lines.append("# columns: omega_ueV intensity")
-    _write_columns(path, lines, spec.omega, spec.intensity)
+    _write_columns(path, lines, spec.grid, spec.values)
 
 
 def read_spectrum(path) -> tuple[Spectrum, dict]:

@@ -364,9 +364,12 @@ def test_fit_spectra_counts_an_unreadable_file_and_fits_the_rest(
 
 
 def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
+    # a file without the line and one whose value is blank both record NaN
     config, data = mp_synth
-    files = [str(without_detuning(path, tmp_path / path.name))
-             for path in sorted(data.glob("spectrum_delta_*ueV.txt"))]
+    files = [str(without_detuning(path, tmp_path / path.name,
+                                  "" if k == 0 else None))
+             for k, path in enumerate(
+                 sorted(data.glob("spectrum_delta_*ueV.txt")))]
     out = tmp_path / "fits"
     assert cli.main(["fit-spectra", "--config", str(config), "--out",
                      str(out), "--quiet", *files]) == 1
@@ -376,8 +379,9 @@ def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
 
 
 @pytest.mark.parametrize("side,value", [
-    ("spectral", None), ("spectral", ""), ("dynamical", None)],
-    ids=["removed", "empty", "decay-removed"])
+    ("spectral", None), ("spectral", ""), ("dynamical", None),
+    ("spectral", "abc"), ("dynamical", "inf")],
+    ids=["removed", "empty", "decay-removed", "not-a-number", "decay-inf"])
 def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
                                                side, value):
     # the MP spectrum at delta = +150: fitted as if at delta = 0, g comes out
@@ -397,6 +401,27 @@ def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
     assert "detuning_ueV" in report[side]["error"]
     assert report[other]["available"]
     assert "detuning_ueV" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["fit-spectra", "compare-g"])
+def test_a_failed_input_is_logged_naming_its_path_once(tmp_path, caplog,
+                                                       mp_synth, command):
+    config, data = mp_synth
+    if command == "fit-spectra":
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# frame = offset\n0.0 1.0\nabc 2.0\n")
+        paths = [str(bad), str(tmp_path / "missing.txt")]
+        inputs = paths
+    else:
+        paths = [str(without_detuning(data / "decay.txt",
+                                      tmp_path / "nodet_decay.txt"))]
+        inputs = ["--spectrum", str(data / cli._spectrum_filename(0.0)),
+                  "--decay", paths[0]]
+    assert cli.main([command, "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--quiet", *inputs]) == 1
+    logged = [r.getMessage() for r in caplog.records]
+    for path in paths:
+        assert sum(message.count(path) for message in logged) == 1, logged
 
 
 def test_compare_g_inverts_a_decay_at_the_detuning_it_states(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 
 from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       PeakError, SampledSignal, Spectrum, SystemParams,
-                      correlation_kernel, default_grid, emission_spectrum,
+                      convolve, correlation_kernel, default_grid,
+                      emission_spectrum, fit_lorentzian_pair, gaussian_irf,
                       lorentzian, propagate, rabi_splitting, read_spectrum,
-                      resolvent_transform, write_signal, write_spectrum)
+                      resolvent_transform, seed_lorentzian_pair,
+                      write_signal, write_spectrum)
+from cqed_lab import spectra
 from cqed_lab.instrument import _META, _write_columns
 from cqed_lab.model import decay_moments, generator_matrix
 from cqed_lab.spectra import _detected_intensity, _prominent_maxima
@@ -264,17 +267,20 @@ class TestAnalyticDerivatives:
             assert np.abs(analytic - numeric).max() <= 1e-7 * scale
 
     @pytest.mark.filterwarnings("ignore:interference terms")
-    @pytest.mark.parametrize("eta_qd", [0.0, 0.6 - 0.8j],
-                             ids=["eta0", "eta-complex"])
+    @pytest.mark.parametrize("eta_ca,eta_qd", [
+        (1.0, 0.0), (1.0, 0.6 - 0.8j), (1.0, 1j), (1.0, 3.0), (0.0, 1.0)],
+        ids=["eta0", "eta-complex", "eta1j", "eta3", "emitter-only"])
     @pytest.mark.parametrize("delta", [0.0, 100.0, -100.0])
     @pytest.mark.parametrize("params", [
         MP, SystemParams(g=92.4, kappa=195.0, gamma=0.2, gamma_dp=4.0)],
         ids=["mp", "pc"])
-    def test_match_one_transform_per_term(self, params, delta, eta_qd):
+    def test_match_one_transform_per_term(self, params, delta, eta_ca,
+                                          eta_qd):
         # reference: each of R v, its g-derivative and its omega-derivative
-        # from a separate public resolvent_transform call
+        # from a separate public resolvent_transform call per channel, summed
+        # term by term over the two channels and their interference
         params = params.with_(delta=delta)
-        det = DetectionCoefficients(eta_qd=eta_qd)
+        det = DetectionCoefficients(eta_ca=eta_ca, eta_qd=eta_qd)
         grid = default_grid(params, 2048, reach=abs(delta))
         y = decay_moments(params)[0]
         dy = np.linalg.solve(generator_matrix(params), np.array(
@@ -296,13 +302,32 @@ class TestAnalyticDerivatives:
         r_ca, r_qd = channel(ca, dca), channel(qd, dqd)
         kt, gm = params.kappa / hb, params.gamma / hb
         root = math.sqrt(kt * gm)
-        expected = [(kt * c[0] + abs(eta_qd) ** 2 * gm * q[1]
-                     + eta_qd * root * q[0]
-                     + np.conj(eta_qd) * root * c[1]).real / (math.pi * hb)
-                    for c, q in zip(r_ca, r_qd)]
+        expected = [(abs(eta_ca) ** 2 * kt * c[0]
+                     + abs(eta_qd) ** 2 * gm * q[1]
+                     + np.conj(eta_ca) * eta_qd * root * q[0]
+                     + np.conj(eta_qd) * eta_ca * root * c[1]).real
+                    / (math.pi * hb) for c, q in zip(r_ca, r_qd)]
         got = _detected_intensity(params, det, grid, jac=True)
         for row, ref in zip(got, expected):
             assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("jac,applications", [(False, 1), (True, 3)])
+    @pytest.mark.parametrize("eta_qd", [0.3, 1j, 3.0])
+    def test_one_resolvent_application_per_row(self, monkeypatch, eta_qd,
+                                               jac, applications):
+        # the detected field is one start vector whatever eta_qd is
+        calls = []
+        resolvent = spectra._resolvent
+
+        def counting(matrix, omega):
+            apply = resolvent(matrix, omega)
+            return lambda v: calls.append(v) or apply(v)
+
+        monkeypatch.setattr(spectra, "_resolvent", counting)
+        params = MP.with_(delta=30.0)
+        _detected_intensity(params, DetectionCoefficients(eta_qd=eta_qd),
+                            default_grid(params, 512, reach=30.0), jac=jac)
+        assert len(calls) == applications
 
 
 class TestRabiSplitting:
@@ -351,6 +376,15 @@ class TestRabiSplitting:
                 want = find_peaks(y, prominence=depth)[0].tolist()
                 assert _prominent_maxima(y, depth) == want
 
+    def test_convolved_signal(self, pc_cavity):
+        # convolve returns a plain SampledSignal, not a Spectrum
+        spec = emission_spectrum(pc_cavity)
+        irf = gaussian_irf(5.0, np.arange(-250, 251) * spec.step)
+        sig = convolve(spec, irf)
+        assert type(sig) is SampledSignal
+        assert rabi_splitting(sig) == pytest.approx(rabi_splitting(spec),
+                                                    rel=0.01)
+
     def test_three_peaks_error(self):
         x = np.linspace(-400.0, 400.0, 4001)
         y = (lorentzian(x, -100.0, 20.0, 1.0) + lorentzian(x, 0.0, 20.0, 0.9)
@@ -369,6 +403,34 @@ class TestSerialization:
         assert meta["detuning_ueV"] == "0"
         assert np.allclose(back.omega, spec.omega, rtol=1e-12)
         assert np.allclose(back.intensity, spec.intensity, rtol=1e-10)
+
+    def test_spectra_are_signals_the_fitters_take(self, tmp_path, pc_cavity):
+        spec = emission_spectrum(pc_cavity)
+        assert isinstance(spec, SampledSignal) and spec.domain == "spectral"
+        assert spec.omega is spec.grid and spec.intensity is spec.values
+        path = tmp_path / "spec.txt"
+        write_spectrum(spec, path)
+        back, _ = read_spectrum(path)
+        assert isinstance(back, SampledSignal) and back.domain == "spectral"
+        assert back.omega is back.grid and back.intensity is back.values
+        init = seed_lorentzian_pair(back)
+        fit = fit_lorentzian_pair(back, init)
+        plain = SampledSignal(back.grid, back.values)
+        assert init == seed_lorentzian_pair(plain)
+        assert fit.to_dict() == fit_lorentzian_pair(plain, init).to_dict()
+
+    def test_convolved_signal_writes_as_a_spectrum(self, tmp_path, pc_cavity):
+        grid = default_grid(pc_cavity, 1024)
+        spec = emission_spectrum(pc_cavity, grid=grid)
+        irf = gaussian_irf(20.0, np.arange(-60, 61) * spec.step)
+        sig = convolve(spec, irf)
+        path = tmp_path / "spec.txt"
+        write_spectrum(sig, path, metadata={"seed": "3"})
+        back, meta = read_spectrum(path)
+        assert meta == {"frame": "offset", "seed": "3"}
+        assert back.grid.tolist() == [float(f"{x:.12g}") for x in sig.grid]
+        assert back.values.tolist() == [float(f"{v:.12g}")
+                                        for v in sig.values]
 
     def test_absolute_frame_rejected(self, tmp_path):
         # spectra hold offsets from the emitter energy; a file of absolute
@@ -434,7 +496,7 @@ class TestSerialization:
             raise OSError("interrupted")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        spec.intensity = 2.0 * spec.intensity
+        spec = Spectrum(spec.grid, 2.0 * spec.values)
         with pytest.raises(OSError, match="interrupted"):
             write_spectrum(spec, path)
         assert path.read_bytes() == old
