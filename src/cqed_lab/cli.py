@@ -382,22 +382,22 @@ def _each_input(log, paths, work) -> tuple:
     return results, errors
 
 
-def _stated_detuning(path, meta: dict, required: bool = True) -> float:
-    """A data file's ``detuning_ueV``: NaN if missing or blank, unless
-    ``required``; refused if it is anything else but a finite number."""
-    text = meta.get("detuning_ueV", "")
+def _stated_number(path, meta: dict, key: str, default=None) -> float:
+    """A data file's numeric header value ``key``: ``default`` if missing
+    or blank, where no ``default`` refuses it; refused if it is anything
+    else but a finite number."""
+    text = meta.get(key, "")
     if not text:
-        if required:
-            raise ValueError(f"{path}: no detuning_ueV given")
-        return math.nan
+        if default is None:
+            raise ValueError(f"{path}: no {key} given")
+        return default
     try:
-        delta = float(text)
+        value = float(text)
     except ValueError:
-        delta = math.nan
-    if not math.isfinite(delta):
-        raise ValueError(f"{path}: detuning_ueV = {text!r} is not a finite "
-                         "number")
-    return delta
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: {key} = {text!r} is not a finite number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def cmd_fit_spectra(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
     def fit_one(path):
         spec, meta = spectra.read_spectrum(path)
-        detuning = _stated_detuning(path, meta, required=False)
+        detuning = _stated_number(path, meta, "detuning_ueV", math.nan)
         irf = cfg.irf("spectral", spec.step) if cfg.fit_convolve_irf else None
         init = inference.seed_lorentzian_pair(spec)
         fit = inference.fit_lorentzian_pair(spec, init, irf=irf)
@@ -552,8 +552,8 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
     def spectral(path):
         spec, meta = spectra.read_spectrum(path)
-        delta = _stated_detuning(path, meta)
-        bg = float(meta.get("background_fraction", "0") or 0.0)
+        delta = _stated_number(path, meta, "detuning_ueV")
+        bg = _stated_number(path, meta, "background_fraction", 0.0)
         fit = inference.fit_jc_cavity_spectrum(
             spec, p.with_(g=max(p.kappa / 4.0, 1.0), delta=delta),
             background_fraction=bg, irf=cfg.irf("spectral", spec.step))
@@ -562,7 +562,7 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
 
     def dynamical(path):
         fit, meta = _fit_decay_file(cfg, path)
-        delta = _stated_detuning(path, meta)
+        delta = _stated_number(path, meta, "detuning_ueV")
         fast = fit.estimates["rate_1"]
         g = model.coupling_from_rate(fast, p.with_(delta=delta),
                                      mode=cfg.coupling_mode)

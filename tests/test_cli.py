@@ -45,13 +45,13 @@ def mp_synth(tmp_path_factory):
     return config, root / "data"
 
 
-def without_detuning(source, dest, value=None):
-    """Copy a data file, dropping its detuning line or, with ``value``,
-    replacing what it says."""
+def restated(source, dest, value=None, key="detuning_ueV"):
+    """Copy a data file, dropping its ``key`` header line or, with
+    ``value``, replacing what it says."""
     lines = source.read_text().splitlines(keepends=True)
     dest.write_text("".join(
-        line if not line.startswith("# detuning_ueV") else
-        "" if value is None else f"# detuning_ueV = {value}\n"
+        line if not line.startswith(f"# {key} ") else
+        "" if value is None else f"# {key} = {value}\n"
         for line in lines))
     return dest
 
@@ -366,8 +366,8 @@ def test_fit_spectra_counts_an_unreadable_file_and_fits_the_rest(
 def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
     # a file without the line and one whose value is blank both record NaN
     config, data = mp_synth
-    files = [str(without_detuning(path, tmp_path / path.name,
-                                  "" if k == 0 else None))
+    files = [str(restated(path, tmp_path / path.name,
+                          "" if k == 0 else None))
              for k, path in enumerate(
                  sorted(data.glob("spectrum_delta_*ueV.txt")))]
     out = tmp_path / "fits"
@@ -389,8 +389,7 @@ def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
     config, data = mp_synth
     files = {"spectral": data / cli._spectrum_filename(150.0),
              "dynamical": data / "decay.txt"}
-    files[side] = without_detuning(files[side], tmp_path / "stripped.txt",
-                                   value)
+    files[side] = restated(files[side], tmp_path / "stripped.txt", value)
     out = tmp_path / "cmp"
     assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
                      "--quiet", "--spectrum", str(files["spectral"]),
@@ -403,6 +402,23 @@ def test_compare_g_needs_the_spectrum_detuning(tmp_path, caplog, mp_synth,
     assert "detuning_ueV" in caplog.text
 
 
+def test_compare_g_names_a_bad_background_fraction(tmp_path, caplog,
+                                                   mp_synth):
+    config, data = mp_synth
+    spectrum = restated(data / cli._spectrum_filename(0.0),
+                        tmp_path / "bad_bg.txt", "abc", "background_fraction")
+    assert "# background_fraction = abc\n" in spectrum.read_text()
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
+                     "--quiet", "--spectrum", str(spectrum),
+                     "--decay", str(data / "decay.txt")]) == 1
+    report = json.loads((out / "compare_g.json").read_text())
+    assert report["spectral"]["available"] is False
+    assert "background_fraction = 'abc'" in report["spectral"]["error"]
+    assert report["dynamical"]["available"]
+    assert "background_fraction" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["fit-spectra", "compare-g"])
 def test_a_failed_input_is_logged_naming_its_path_once(tmp_path, caplog,
                                                        mp_synth, command):
@@ -413,8 +429,8 @@ def test_a_failed_input_is_logged_naming_its_path_once(tmp_path, caplog,
         paths = [str(bad), str(tmp_path / "missing.txt")]
         inputs = paths
     else:
-        paths = [str(without_detuning(data / "decay.txt",
-                                      tmp_path / "nodet_decay.txt"))]
+        paths = [str(restated(data / "decay.txt",
+                              tmp_path / "nodet_decay.txt"))]
         inputs = ["--spectrum", str(data / cli._spectrum_filename(0.0)),
                   "--decay", paths[0]]
     assert cli.main([command, "--config", str(config), "--out",

@@ -12,8 +12,8 @@ from cqed_lab import (FitError, IrfKernel, LorentzianPairParams,
                       classify_coupling, compare_coupling_estimates, convolve,
                       emission_spectrum, extract_sweep_record, fit_decay,
                       fit_jc_cavity_spectrum, fit_lorentzian_pair, gaussian_irf,
-                      irf_fwhm_from_q, lorentzian, rabi_splitting,
-                      seed_lorentzian_pair)
+                      irf_fwhm_from_q, lorentzian, propagate,
+                      rabi_splitting, seed_lorentzian_pair)
 
 PC_FIXED = {"kappa": 195.0, "gamma": 0.2, "gamma_dp": 4.0, "delta": 0.0}
 
@@ -319,8 +319,8 @@ class TestFitDecay:
         assert fit2.estimates["rate_1"] == pytest.approx(10.0, rel=0.05)
 
     def test_unconverged_trial_never_selected(self, monkeypatch):
-        # marked as stopped at the evaluation limit, a trial that wins the
-        # F-test when it converges must not enter the test
+        # stopped at the evaluation limit, a trial that wins the F-test when
+        # it converges must not enter the test
         rng = np.random.default_rng(17)
         two, irf, _ = make_decay([10.0, 0.5], [5.0, 2.0], t_max=25.0,
                                  dt=0.01, rng=rng)
@@ -328,10 +328,9 @@ class TestFitDecay:
         order_fit = cqed_lab.inference._fit_decay_order
 
         def capped(curve, irf, n_comp):
-            res = order_fit(curve, irf, n_comp)
             if n_comp > 1:
-                res.status = 0
-            return res
+                raise FitError("fit did not converge in 500 evaluations")
+            return order_fit(curve, irf, n_comp)
 
         monkeypatch.setattr(cqed_lab.inference, "_fit_decay_order", capped)
         fit = fit_decay(two, irf=irf, mode="multi")
@@ -339,11 +338,14 @@ class TestFitDecay:
         assert "rate_2" not in fit.estimates
 
     def test_f_test_tail_matches_scipy(self):
+        # fit_decay keeps the lower order while ssr_low <= ssr_high
+        # 20^(2/dof); at equality F = (ssr_low/ssr_high - 1) dof/2 sits on
+        # the 5% tail of F(2, dof)
         from scipy.special import fdtrc
         for dof in (5, 17, 120, 1000, 4000):
-            for fstat in np.logspace(-4.0, 3.0, 36):
-                assert cqed_lab.inference._f_tail_2(dof, fstat) == \
-                    pytest.approx(fdtrc(2, dof, fstat), rel=1e-12, abs=0.0)
+            fstat = (20.0 ** (2.0 / dof) - 1.0) * dof / 2.0
+            assert fdtrc(2, dof, fstat) == pytest.approx(0.05, rel=1e-12,
+                                                         abs=0.0)
 
     def test_poisson_weighting_present(self):
         # biased weights would shift the baseline estimate visibly
@@ -353,6 +355,44 @@ class TestFitDecay:
         fit = fit_decay(curve, irf=irf, mode="single")
         assert fit.estimates["baseline"] == pytest.approx(0.05 * scale,
                                                           rel=0.05)
+
+    def test_micropillar_flux_flagged(self, micropillar):
+        # the MP flux gamma rho_qd + kappa rho_ca at delta = 0 through a
+        # 50 ps IRF at 1e4 peak counts, as synthesize writes it: the cavity's
+        # filling rise needs a negative amplitude, so no multiexponential
+        # describes the curve (chi^2/dof near 95)
+        params = micropillar
+        traj = propagate(params)
+        dt = traj.times[1] - traj.times[0]
+        flux = params.gamma * traj.rho_qd + params.kappa * traj.rho_ca
+        half = int(math.ceil(4 * 0.05 / dt))
+        irf = gaussian_irf(0.05, np.arange(-half, half + 1) * dt, "temporal")
+        lead = np.zeros(2 * half)
+        t = (np.arange(lead.size + flux.size) - lead.size) * dt
+        sig = convolve(SampledSignal(t, np.concatenate([lead, flux]),
+                                     "temporal"), irf).values
+        counts = np.random.default_rng(1).poisson(
+            1e4 * np.clip(sig, 0.0, None) / sig.max()).astype(float)
+        fit = fit_decay(SampledSignal(t, counts, "temporal"), irf=irf,
+                        mode="multi")
+        assert "model-mismatch" in fit.messages
+
+    @pytest.mark.parametrize("peak", [1e2, 1e4, 1e5],
+                             ids=["1e2", "1e4", "1e5"])
+    def test_exact_multiexponentials_not_flagged(self, peak):
+        # make_decay without a baseline: it would convolve one with zero
+        # padding, a real misfit in the first samples at high counts.  Over
+        # seeds 0-59 the largest chi^2/dof reached 0.94 of the bound on these
+        # two curves, and 0.41 on a single exponential.
+        for rates, amplitudes, grid in (
+                ([10.0, 0.5], [5.0, 2.0], {"t_max": 25.0, "dt": 0.01}),
+                ([18.5, 0.39], [10.0, 1.0], {"t_max": 12.0})):
+            for seed in range(20):
+                curve, irf, _ = make_decay(rates, amplitudes, peak=peak,
+                                           rng=np.random.default_rng(seed),
+                                           **grid)
+                fit = fit_decay(curve, irf=irf, mode="multi")
+                assert "model-mismatch" not in fit.messages, (rates, seed)
 
 
 class TestFitJcCavitySpectrum:
@@ -635,27 +675,35 @@ class TestLeastSquares:
         curve, irf, _ = make_decay([2.0], [5.0], baseline=0.01, t_max=15.0,
                                    rng=np.random.default_rng(3))
         res = cqed_lab.inference._fit_decay_order(curve, irf, 2)
-        amplitudes = res.x[1:4:2]
-        assert 0.0 in amplitudes
-        assert list(res.active_mask[1:4:2][amplitudes == 0.0]) == [-1]
-        assert res.active_mask[-1] == 0  # the baseline has no bound
+        zero = [name for name in ("amplitude_1", "amplitude_2")
+                if res.estimates[name] == 0.0]
+        assert len(zero) == 1 and zero[0] in res.at_bound
+        assert "baseline" not in res.at_bound  # the baseline has no bound
         fit = fit_decay(curve, irf=irf, mode="bi")
         assert "rate-collapse" in fit.messages
         assert "rate_2" not in fit.estimates
 
-    def test_evaluation_limit_sets_status_zero(self, monkeypatch):
+    def test_evaluation_limit_sets_status_zero(self):
         spec = noisy_pair()
         init = seed_lorentzian_pair(spec)
         res = cqed_lab.inference.least_squares(
             lambda p: lorentzian(spec.grid, *p) - spec.values,
             init.centers[:1] + init.fwhms[:1] + init.heights[:1],
             lambda p: cqed_lab.inference._lorentzians(
-                spec.grid, [*p, 0.0], jac=True)[1][:, :3],
+                spec.grid, [*p, 0.0])[1][:, :3],
             max_nfev=3)
         assert res.status == 0 and res.nfev == 3
+
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_noisy_pair(with_irf=False),
+        fit_noisy_multi,
+        fit_noisy_jc,
+    ], ids=["pair", "decay", "jc"])
+    def test_every_fitter_raises_at_the_evaluation_limit(self, monkeypatch,
+                                                         fit):
         monkeypatch.setattr(cqed_lab.inference, "_MAX_NFEV", 3)
-        with pytest.raises(FitError):
-            fit_lorentzian_pair(spec, init)
+        with pytest.raises(FitError, match="in 3 evaluations"):
+            fit()
 
     def test_zero_jacobian_column_takes_zero_step(self):
         # the second line has zero height, so its center and width columns
@@ -664,22 +712,21 @@ class TestLeastSquares:
         x = spec.grid
         start = [-55.0, 35.0, 0.9, 120.0, 50.0, 0.0]
 
-        def model(p, jac=False):
-            return cqed_lab.inference._lorentzians(
-                x, [*p[:5], 0.0, p[5]], jac)
+        def model(p):
+            return cqed_lab.inference._lorentzians(x, [*p[:5], 0.0, p[5]])
 
         res = cqed_lab.inference.least_squares(
-            lambda p: model(p) - spec.values, start,
-            jac=lambda p: np.delete(model(p, jac=True)[1], 5, axis=1))
+            lambda p: model(p)[0] - spec.values, start,
+            jac=lambda p: np.delete(model(p)[1], 5, axis=1))
         assert res.status > 0
         assert not res.jac[:, 3:5].any()
         assert list(res.x[3:5]) == start[3:5]
         # the live parameters land where a fit without the dead ones does
         live = [0, 1, 2, 5]
         alone = cqed_lab.inference.least_squares(
-            lambda p: model([*p[:3], 0.0, 1.0, p[3]]) - spec.values,
+            lambda p: model([*p[:3], 0.0, 1.0, p[3]])[0] - spec.values,
             [start[i] for i in live],
-            jac=lambda p: model([*p[:3], 0.0, 1.0, p[3]], jac=True)[1][
+            jac=lambda p: model([*p[:3], 0.0, 1.0, p[3]])[1][
                 :, [0, 1, 2, 6]])
         assert res.x[live] == pytest.approx(alone.x, rel=1e-6)
 
@@ -701,7 +748,7 @@ class TestLeastSquares:
 
         def jacobian(p):
             njev.append(1)
-            j = cqed_lab.inference._lorentzians(x, [*p, 0.0], jac=True)[1]
+            j = cqed_lab.inference._lorentzians(x, [*p, 0.0])[1]
             if where == "jacobian" and len(njev) > 1:  # after one step
                 j[:, 1] = np.nan
             return j[:, :3]
@@ -728,11 +775,12 @@ class TestFusedEvaluation:
             calls = []
 
             def counted(*a, **k):
-                calls.append(k.get("jac", False))
-                return model(*a, **k)
+                out = model(*a, **k)
+                calls.append(isinstance(out, tuple) and len(out) == 2)
+                return out
 
             res = solve(counted, *args, **kwargs)
-            counts.append((len(calls), res.nfev))
+            counts.append((len(calls), res.iterations))
             assert all(calls)  # each call returns values and Jacobian
             return res
 
@@ -754,7 +802,7 @@ class TestFusedEvaluation:
         sigma = np.linspace(0.5, 2.0, x.size)
 
         def model(p):
-            return cqed_lab.inference._lorentzians(xe, p, jac=True)
+            return cqed_lab.inference._lorentzians(xe, p)
 
         residual, jacobian = cqed_lab.inference._residual_and_jacobian(
             model, spec.values, conv, sigma)
@@ -796,21 +844,19 @@ class TestAnalyticJacobians:
     def test_lorentzian_pair_with_baseline(self):
         x = np.linspace(-400.0, 400.0, 1601)
         p = [-60.0, 30.0, 1.0, 45.0, 80.0, 0.6, 0.05]
-        values, jac = cqed_lab.inference._lorentzians(x, p, jac=True)
+        jac = cqed_lab.inference._lorentzians(x, p)[1]
         assert jac.T.flags.c_contiguous  # parameter-major
-        assert np.array_equal(values, cqed_lab.inference._lorentzians(x, p))
         assert_jacobian_matches(jac, central_differences(
-            lambda q: cqed_lab.inference._lorentzians(x, q), p))
+            lambda q: cqed_lab.inference._lorentzians(x, q)[0], p))
 
     def test_three_component_decay_with_lead_in(self):
         t = np.arange(-0.5, 6.0, 0.01)
         p = [12.0, 3.0, 1.5, 2.0, 0.3, 0.5, 0.02]
-        values, jac = cqed_lab.inference._decay_model(t, p, jac=True)
+        jac = cqed_lab.inference._decay_model(t, p)[1]
         assert jac.T.flags.c_contiguous
-        assert np.array_equal(values, cqed_lab.inference._decay_model(t, p))
         assert not jac[t < 0.0, :-1].any()
         assert_jacobian_matches(jac, central_differences(
-            lambda q: cqed_lab.inference._decay_model(t, q), p))
+            lambda q: cqed_lab.inference._decay_model(t, q)[0], p))
 
     @pytest.mark.parametrize("fit", [
         lambda: fit_noisy_pair(with_irf=True),
