@@ -338,8 +338,6 @@ def _resolve_seed(args, cfg: ExperimentConfig) -> int:
 
 
 def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
     return f"{value:.10g}"
 
 
@@ -369,7 +367,17 @@ def _system_metadata(cfg: ExperimentConfig, delta: float) -> dict:
 def _each_input(log, paths, work) -> tuple:
     """``work`` applied to each input path: the results, and the messages of
     the inputs it failed on (a bad file or a failed fit).  A failure stops
-    only its own input and is logged once, naming it."""
+    only its own input and is logged once, naming it.  Outputs are named
+    after their input's file name, so two inputs whose file names without
+    extension are equal are refused before any work."""
+    seen = {}
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in seen:
+            raise ConfigError(f"inputs {seen[name]} and {path} share the "
+                              f"file name {name!r}; their outputs would "
+                              "overwrite each other")
+        seen[name] = path
     results, errors = [], []
     for path in paths:
         try:

@@ -11,19 +11,19 @@ onto its bound is held there, exactly, while the gradient pushes it
 outward.  A start point or accepted point whose cost or J^T J is not
 finite raises ``FitError``.  The fit stops at a trial step shorter than
 1e-8 (1e-8 + |x|), a free gradient component below 1e-10, a cost falling
-by less than 1e-14 of itself, or after 500 residual evaluations.
-``_solve`` raises ``FitError`` when the evaluation limit stopped it, so
-every ``FitResult`` is ``converged``; it builds the result's standard
-errors from the curvature, names in ``at_bound`` the parameters on their
-lower bound, or within 1e-8 of it, and, for a fit weighted by ``sigma``,
-flags ``model-mismatch`` when chi^2/dof lies more than five of its
-standard deviations, sqrt(2/dof), above 1.  Every model returns its
-values and its analytic Jacobian, parameter-major (its transpose is
-C-contiguous): the Lorentzian pair and the multiexponential in closed
-form, the emitter-cavity spectrum through the derivatives of its
-resolvent and time integrals (``spectra._detected_intensity``).  The
-solver takes the Jacobian of a point it evaluated from that evaluation,
-so each trial point costs one model call.
+by less than 1e-14 of itself, or after 500 residual evaluations.  The
+solver's ``fun`` returns the residual and its Jacobian; a rejected trial's
+Jacobian is dropped.  ``_solve`` raises ``FitError`` when the evaluation
+limit stopped it, so every ``FitResult`` is ``converged``; it builds the
+result's standard errors from the curvature, names in ``at_bound`` the
+parameters on their lower bound, or within 1e-8 of it, and, for a fit
+weighted by ``sigma``, flags ``model-mismatch`` when chi^2/dof lies more
+than five of its standard deviations, sqrt(2/dof), above 1.  Every model
+returns its values and its analytic Jacobian, parameter-major (its
+transpose is C-contiguous): the Lorentzian pair and the multiexponential
+in closed form, the emitter-cavity spectrum through the derivatives of
+its resolvent and time integrals (``spectra._detected_intensity``), so
+each trial point costs one model call.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ class LeastSquaresResult:
     active_mask: np.ndarray
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
+def least_squares(fun, x0, bounds=(-np.inf, np.inf),
                   ftol=1e-8, xtol=1e-8, gtol=1e-8, max_nfev=None):
-    """Minimize 0.5 sum(fun(x)^2) subject to x >= lower by projected LM.
+    """Minimize 0.5 |f(x)|^2 subject to x >= lower by projected LM.
 
     A Levenberg-Marquardt loop (Moré, Lecture Notes in Mathematics 630,
     1978) with lower bounds only.  Each iteration holds the parameters that
@@ -215,9 +215,11 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
     at each accepted point; a failure raises ``FitError`` naming the start
     point.  A trial point whose cost is not finite is a rejected step.
 
-    ``jac`` is a callable returning the Jacobian at x, passed where scipy
-    takes it; its calls do not count in ``nfev``.  ``bounds`` is (lower,
-    upper) with upper infinite.  A start below its bound is moved onto it.
+    ``fun(x)`` returns the residual f and its Jacobian J as a pair; every
+    call counts in ``nfev``.  The start point and each accepted trial keep
+    their own J; a rejected trial's Jacobian is dropped.  ``bounds`` is
+    (lower, upper) with upper infinite.  A start below its bound is moved
+    onto it.
     Termination follows scipy's codes in ``status``: 1, the largest free
     gradient component is below ``gtol``; 2, a step with rho > 0.25 lowered
     the cost by less than ``ftol`` times the cost; 3, a trial step is
@@ -236,9 +238,8 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
 
     twin = None  # a copy of J, one buffer per solve
 
-    def linearize(p, cost_p):  # the Jacobian at p and J^T J, checked finite
+    def linearize(jp, cost_p):  # J^T J of jp, checked finite with the cost
         nonlocal twin
-        jp = jac(p)
         # numpy calls BLAS syrk when both operands share one buffer, and
         # OpenBLAS 0.3.31's syrk took 2.5-4x as long as gemm at 7 x
         # 1,000-16,000 (2-vCPU x86-64 VM); a fresh copy per call would
@@ -250,12 +251,12 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
         if not (np.isfinite(cost_p) and np.isfinite(jtj).all()):
             raise FitError("residual or Jacobian not finite in the fit "
                            f"started at {np.asarray(x0, float).tolist()}")
-        return jp, jtj
+        return jtj
 
     x = np.maximum(x, lower)
-    f = fun(x)
+    f, J = fun(x)
     nfev, cost = 1, 0.5 * float(f @ f)
-    J, jtj = linearize(x, cost)
+    jtj = linearize(J, cost)
     scale = np.zeros(x.size)
     mu, nu = _MU0, 2.0
     status = None
@@ -287,7 +288,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
             x_new = x.copy()
             x_new[free] = np.maximum(x[free] + s, lower[free])
             s = x_new[free] - x[free]
-            f_new = fun(x_new)
+            f_new, j_new = fun(x_new)
             nfev += 1
             cost_new = 0.5 * float(f_new @ f_new)
             if not np.isfinite(cost_new):
@@ -307,8 +308,8 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
                 status = 4 if f_done and x_done else 2 if f_done else 3
                 break
         if reduction > 0.0:
-            x, f, cost = x_new, f_new, cost_new
-            J, jtj = linearize(x, cost)
+            x, f, J, cost = x_new, f_new, j_new, cost_new
+            jtj = linearize(J, cost)
     near = x - lower <= xtol * np.maximum(1.0, np.abs(lower))
     return LeastSquaresResult(x=x, cost=cost, fun=f, jac=J, nfev=nfev,
                               status=status, active_mask=np.where(
@@ -321,10 +322,12 @@ def _solve(model, data: SampledSignal, p0, lower, names,
 
     ``model(x, p)`` returns the model values on the grid ``x`` and their
     analytic Jacobian, parameter-major, as a pair; it is called once per
-    point the solver evaluates (:func:`_residual_and_jacobian`).  With
-    ``irf`` the model is evaluated on the data grid widened by the kernel's
-    reach and convolved back onto it as ``instrument.convolve`` does; with
-    ``sigma`` each residual is divided by it.  Upper bounds are infinite.
+    point the solver evaluates.  The solver's ``fun`` returns the residual
+    conv(values) - y and its Jacobian conv(jac); a rejected trial's
+    Jacobian is dropped.  With ``irf`` the model is evaluated on the data
+    grid widened by the kernel's reach and convolved back onto it as
+    ``instrument.convolve`` does; with ``sigma`` the residual and each
+    row of its Jacobian are divided by it.  Upper bounds are infinite.
     :func:`least_squares` checks finiteness on the cost and on J^T J of the
     start and of each accepted point.  The result carries ``names``; a fit
     stopped by the evaluation limit raises ``FitError``.
@@ -336,11 +339,13 @@ def _solve(model, data: SampledSignal, p0, lower, names,
         xe = np.concatenate([xe[0] - h * np.arange(left, 0, -1), xe,
                              xe[-1] + h * np.arange(1, right + 1)])
 
-    residual, jacobian = _residual_and_jacobian(
-        lambda p: model(xe, p), y, conv, sigma)
-    res = least_squares(residual, p0, jacobian,
-                        bounds=(lower, np.inf), xtol=_XTOL, gtol=_GTOL,
-                        ftol=_FTOL, max_nfev=_MAX_NFEV)
+    def fun(p):
+        values, jac = model(xe, p)
+        r, j = conv(values) - y, conv(jac)
+        return (r, j) if sigma is None else (r / sigma, (j.T / sigma).T)
+
+    res = least_squares(fun, p0, bounds=(lower, np.inf), xtol=_XTOL,
+                        gtol=_GTOL, ftol=_FTOL, max_nfev=_MAX_NFEV)
     if res.status == 0:
         raise FitError(f"fit did not converge in {_MAX_NFEV} evaluations")
     m, p = res.jac.shape
@@ -369,32 +374,6 @@ def _solve(model, data: SampledSignal, p0, lower, names,
         messages=tuple(messages),
         at_bound=tuple(n for n, a in zip(names, res.active_mask) if a),
     )
-
-
-def _residual_and_jacobian(model, y, conv=lambda v: v, sigma=None):
-    """``fun`` and ``jac`` for :func:`least_squares` from one fused model.
-
-    ``model(p)`` returns the model values and their Jacobian as a pair; the
-    residual is conv(values) - y, divided by ``sigma`` when given.  Each
-    residual call keeps the Jacobian of its point, so ``jac`` asked at the
-    point last evaluated, as the solver asks at its start and at each
-    accepted point, costs no model call; only there is the Jacobian
-    convolved.  Asked anywhere else, ``jac`` evaluates the model afresh.
-    """
-    kept = {}
-
-    def residual(p):
-        values, kept["jac"] = model(p)
-        kept["p"] = np.array(p, dtype=float)
-        r = conv(values) - y
-        return r if sigma is None else r / sigma
-
-    def jacobian(p):
-        same = "p" in kept and np.array_equal(p, kept["p"])
-        j = conv(kept["jac"] if same else model(p)[1])
-        return j if sigma is None else (j.T / sigma).T
-
-    return residual, jacobian
 
 
 def _lorentzians(x: np.ndarray, p):
@@ -466,12 +445,11 @@ def seed_lorentzian_pair(spec: SampledSignal) -> LorentzianPairParams:
     box = np.ones(_SEED_SMOOTH) / _SEED_SMOOTH
     c1, w1, h1 = _single_peak_guess(x, np.convolve(y, box, "same"))
 
-    def line(p):  # one Lorentzian over a baseline held at zero
+    def line(p):  # one Lorentzian over a zero baseline, less the data
         values, d = _lorentzians(x, [*p, 0.0])
-        return values, d[:, :3]
+        return values - y, d[:, :3]
 
-    residual, jacobian = _residual_and_jacobian(line, y)
-    f1 = least_squares(residual, [c1, w1, h1], jacobian, max_nfev=200)
+    f1 = least_squares(line, [c1, w1, h1], max_nfev=200)
     resid = -f1.fun
     wide = np.ones(2 * _SEED_SMOOTH + 1) / (2 * _SEED_SMOOTH + 1)
     resid_s = np.convolve(np.clip(resid, 0.0, None), wide, "same")
@@ -570,8 +548,6 @@ def seed_decay(curve: SampledSignal, n_comp: int):
         rates.append(rate)
         amps.append(amp)
         sub = np.clip(sub - amp * np.exp(-rate * np.clip(t, 0.0, None)), 1e-300, None)
-    if rates[0] <= 0:
-        raise FitError("no decaying component in the input")
     return rates, amps, baseline
 
 

@@ -516,6 +516,29 @@ def test_deconvolve_fails_a_file_with_a_nan_grid_value(tmp_path, mp_synth):
         spectrum.stem + "_deconvolved.txt"]
 
 
+@pytest.mark.parametrize("command,name,suffix", [
+    ("fit-decay", "decay", ".txt"),
+    ("deconvolve", cli._spectrum_filename(0.0)[:-4], ".dat"),
+], ids=["fit-decay", "deconvolve"])
+def test_inputs_sharing_a_file_name_are_refused(tmp_path, caplog, mp_synth,
+                                                command, name, suffix):
+    # each output is named after its input's file name without extension:
+    # a second input of that name would overwrite the first one's output
+    config, data = mp_synth
+    first = data / (name + ".txt")
+    second = tmp_path / "copy" / (name + suffix)
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out),
+                     "--quiet", str(first), str(second)]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert str(first) in errors[0] and str(second) in errors[0]
+    assert not out.exists()
+
+
 def test_default_spectrum_grid(tmp_path):
     # the benchmark configs set no grid_span_ueV: the grid spans the largest
     # detuning with the default 4,096 points
