@@ -7,8 +7,10 @@ of the key names).  Only ``synthesize`` draws random numbers; its seed is
 ``--seed``, else ``[output] seed``, else 0.  Outputs are written atomically
 and deterministically: a fixed config and seed reproduce byte-identical
 files.  ``_SCHEMA`` is the reference for the config: every section and key
-(with its unit), what its value must be, and its default.  IRF files are
-read once, at load, so a run applies one kernel; a bad one exits 2.
+(with its unit), its value's kind, and its default.  One table of kinds
+(a parser and what it accepts) checks config keys, ``--seed``, ``--jobs``
+and data files' numbers.  IRF files are read once, at load, so a run
+applies one kernel; a bad one exits 2.
 ``[decay] delta_ueV`` is the detuning ``synthesize`` writes into its decay
 curve; analysis reads each data file's own ``detuning_ueV``, and compare-g
 refuses a file without one.
@@ -40,10 +42,11 @@ _log = logging.getLogger
 # configuration
 
 
-def _parse_sections(text: str, path: str) -> tuple:
-    """Parse [section] / key = value text: entries and header line numbers."""
+def _parse_sections(text: str, path: str) -> dict:
+    """Parse [section] / key = value text into {section: {key: (value, line
+    number)}}, refusing a section or key ``_SCHEMA`` does not name."""
+    known = {(section, key) for section, key, *_ in _SCHEMA}
     sections: dict[str, dict] = {}
-    lines_of: dict[str, int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -53,8 +56,10 @@ def _parse_sections(text: str, path: str) -> tuple:
             current = line[1:-1].strip()
             if not current:
                 raise ConfigError(f"{path}:{lineno}: empty section name")
+            if current not in {section for section, _ in known}:
+                raise ConfigError(f"{path}:{lineno}: unknown section "
+                                  f"[{current}]")
             sections.setdefault(current, {})
-            lines_of.setdefault(current, lineno)
             continue
         if "=" not in line:
             raise ConfigError(
@@ -63,10 +68,13 @@ def _parse_sections(text: str, path: str) -> tuple:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, _, val = line.partition("=")
         key = key.strip()
+        if (current, key) not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in "
+                              f"[{current}]")
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         sections[current][key] = (val.strip(), lineno)
-    return sections, lines_of
+    return sections
 
 
 REQUIRED = object()
@@ -74,80 +82,85 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _parser(convert, accept):
-    """Parse text with ``convert``; reject a value that ``accept`` refuses."""
+def _parser(convert, what, accept=lambda value: True):
+    """A value kind: the parser of text that ``convert`` turns into a value
+    ``accept`` takes, and ``what`` that text must be."""
     def parse(text: str):
         value = convert(text)
         if not accept(value):
             raise ValueError(text)
         return value
-    return parse
+    return parse, what
 
 
-_number = _parser(float, math.isfinite)
-_positive = _parser(float, lambda x: math.isfinite(x) and x > 0)
-_complex = _parser(complex, cmath.isfinite)
-_NUM, _POS, _BOOL = "a finite number", "a finite number > 0", "a boolean"
-_CPLX = "a finite real or complex number"
+def _read(kind, text: str, where: str):
+    """``text`` parsed as ``kind``; refused naming ``where`` if it is not."""
+    parse, what = kind
+    try:
+        return parse(text)
+    except (LookupError, TypeError, ValueError):
+        raise ConfigError(f"{where} must be {what}, got {text!r}") from None
 
 
-def _numbers(text: str) -> list:
-    return [_number(tok) for tok in text.replace(",", " ").split()]
+_number = _parser(float, "a finite number", math.isfinite)
+_positive = _parser(float, "a finite number > 0", lambda x: 0 < x < math.inf)
+_complex = _parser(complex, "a finite real or complex number", cmath.isfinite)
+_numbers = _parser(lambda text: [_number[0](tok) for tok in text.replace(
+    ",", " ").split()], "finite numbers")
+_bool = _parser(lambda text: _BOOLS[text.lower()], "a boolean")
+_file = _parser(str, "a file name")
 
 
-def _bool(text: str) -> bool:
-    return _BOOLS[text.lower()]
+def _integer(least: int):
+    return _parser(int, f"an integer >= {least}", lambda n: n >= least)
 
 
 def _choice(*names):
-    return _parser(str, names.__contains__)
+    return _parser(str, "one of " + ", ".join(names), names.__contains__)
 
+
+_seed = _integer(0)
 
 # Every config key: section, key, ExperimentConfig field (or the value
 # load_config turns into one: SystemParams, DetectionCoefficients, sweep,
-# spectrometer Q, IRF file), parser, what the value must be, default.
+# spectrometer Q, IRF file), kind, default.
 _SCHEMA = (
-    ("system", "g_ueV", "g", _number, _NUM, REQUIRED),
-    ("system", "kappa_ueV", "kappa", _number, _NUM, REQUIRED),
-    ("system", "gamma_ueV", "gamma", _number, _NUM, REQUIRED),
-    ("system", "gamma_dp_ueV", "gamma_dp", _number, _NUM, 0.0),
-    ("system", "wavelength_nm", "wavelength_nm", _positive, _POS, None),
-    ("sweep", "deltas_ueV", "deltas", _numbers, "finite numbers", None),
-    ("sweep", "delta_min_ueV", "delta_min", _number, _NUM, None),
-    ("sweep", "delta_max_ueV", "delta_max", _number, _NUM, None),
-    ("sweep", "delta_step_ueV", "delta_step", _positive, _POS, None),
-    ("detection", "eta_ca", "eta_ca", _complex, _CPLX, 1.0),
-    ("detection", "eta_qd", "eta_qd", _complex, _CPLX, 0.0),
-    ("detection", "background_fraction", "background_fraction", _number,
-     _NUM, 0.0),
-    ("spectra", "grid_span_ueV", "grid_span", _positive, _POS, None),
-    ("spectra", "grid_points", "grid_points", _parser(int, lambda n: n >= 16),
-     "an integer >= 16", 4096),
-    ("spectra", "convolve_irf", "convolve_irf", _bool, _BOOL, False),
-    ("instrument", "spectral_irf_file", "spectral_irf_file", str,
-     "a file name", None),
+    ("system", "g_ueV", "g", _number, REQUIRED),
+    ("system", "kappa_ueV", "kappa", _number, REQUIRED),
+    ("system", "gamma_ueV", "gamma", _number, REQUIRED),
+    ("system", "gamma_dp_ueV", "gamma_dp", _number, 0.0),
+    ("system", "wavelength_nm", "wavelength_nm", _positive, None),
+    ("sweep", "deltas_ueV", "deltas", _numbers, None),
+    ("sweep", "delta_min_ueV", "delta_min", _number, None),
+    ("sweep", "delta_max_ueV", "delta_max", _number, None),
+    ("sweep", "delta_step_ueV", "delta_step", _positive, None),
+    ("detection", "eta_ca", "eta_ca", _complex, 1.0),
+    ("detection", "eta_qd", "eta_qd", _complex, 0.0),
+    ("detection", "background_fraction", "background_fraction", _number, 0.0),
+    ("spectra", "grid_span_ueV", "grid_span", _positive, None),
+    ("spectra", "grid_points", "grid_points", _integer(16), 4096),
+    ("spectra", "convolve_irf", "convolve_irf", _bool, False),
+    ("instrument", "spectral_irf_file", "spectral_irf_file", _file, None),
     ("instrument", "spectral_irf_fwhm_ueV", "spectral_irf_fwhm", _positive,
-     _POS, None),
-    ("instrument", "spectrometer_q", "spectrometer_q", _positive, _POS, None),
-    ("instrument", "temporal_irf_file", "temporal_irf_file", str,
-     "a file name", None),
+     None),
+    ("instrument", "spectrometer_q", "spectrometer_q", _positive, None),
+    ("instrument", "temporal_irf_file", "temporal_irf_file", _file, None),
     ("instrument", "temporal_irf_fwhm_ns", "temporal_irf_fwhm", _positive,
-     _POS, None),
+     None),
     # read by synthesize only: analysis takes each file's own detuning_ueV
-    ("decay", "delta_ueV", "decay_delta", _number, _NUM, 0.0),
-    ("decay", "t_max_ns", "decay_t_max", _positive, _POS, None),
-    ("decay", "dt_ns", "decay_dt", _positive, _POS, None),
+    ("decay", "delta_ueV", "decay_delta", _number, 0.0),
+    ("decay", "t_max_ns", "decay_t_max", _positive, None),
+    ("decay", "dt_ns", "decay_dt", _positive, None),
     ("fit", "decay_mode", "decay_mode", _choice("single", "bi", "multi"),
-     "one of single, bi, multi", "multi"),
+     "multi"),
     ("fit", "coupling_mode", "coupling_mode", _choice("adiabatic", "full"),
-     "one of adiabatic, full", "adiabatic"),
-    ("fit", "convolve_spectral_irf", "fit_convolve_irf", _bool, _BOOL, False),
-    ("fit", "band_limit", "band_limit", _positive, _POS, None),
-    ("synthesize", "peak_counts", "peak_counts", _positive, _POS, 10000.0),
-    ("synthesize", "noise", "noise", _bool, _BOOL, True),
-    ("output", "out_dir", "out_dir", str, "a directory", "."),
-    ("output", "seed", "seed", _parser(int, lambda n: n >= 0),
-     "an integer >= 0", None),
+     "adiabatic"),
+    ("fit", "convolve_spectral_irf", "fit_convolve_irf", _bool, False),
+    ("fit", "band_limit", "band_limit", _positive, None),
+    ("synthesize", "peak_counts", "peak_counts", _positive, 10000.0),
+    ("synthesize", "noise", "noise", _bool, True),
+    ("output", "out_dir", "out_dir", _parser(str, "a directory"), "."),
+    ("output", "seed", "seed", _seed, None),
 )
 
 
@@ -209,36 +222,27 @@ def load_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    sections, lines_of = _parse_sections(text, path)
-    known = {(section, key) for section, key, *_ in _SCHEMA}
-    for name, entries in sections.items():
-        if name not in {section for section, _ in known}:
-            raise ConfigError(f"{path}:{lines_of[name]}: unknown section "
-                              f"[{name}]")
-        for key, (_, lineno) in entries.items():
-            if (name, key) not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in "
-                                  f"[{name}]")
+    sections = _parse_sections(text, path)
     if "system" not in sections:
         raise ConfigError(f"{path}: missing required section [system]")
 
-    def fail(section, key, message):
+    def where(section, key):
         entry = sections.get(section, {}).get(key)
-        where = f"{path}:{entry[1]}" if entry else path
-        raise ConfigError(f"{where}: [{section}] {key} {message}")
+        return f"{path}:{entry[1]}" if entry else path
+
+    def fail(section, key, message):
+        raise ConfigError(f"{where(section, key)}: [{section}] {key} "
+                          f"{message}")
 
     v = {}
-    for section, key, name, parse, what, default in _SCHEMA:
-        if key not in sections.get(section, {}):
-            if default is REQUIRED:
-                fail(section, key, "is required")
+    for section, key, name, kind, default in _SCHEMA:
+        if key in sections.get(section, {}):
+            v[name] = _read(kind, sections[section][key][0],
+                            f"{where(section, key)}: [{section}] {key}")
+        elif default is REQUIRED:
+            fail(section, key, "is required")
+        else:
             v[name] = default
-            continue
-        text = sections[section][key][0]
-        try:
-            v[name] = parse(text)
-        except (LookupError, TypeError, ValueError):
-            fail(section, key, f"must be {what}, got {text!r}")
 
     try:
         params = model.SystemParams(**{k: v.pop(k) for k in (
@@ -324,15 +328,6 @@ def load_config(path: str) -> ExperimentConfig:
                             **v)
 
 
-def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    """``synthesize``'s seed: ``--seed``, else ``[output] seed``, else 0."""
-    if args.seed is None:
-        return 0 if cfg.seed is None else cfg.seed
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be an integer >= 0, got '{args.seed}'")
-    return args.seed
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -399,13 +394,11 @@ def _stated_number(path, meta: dict, key: str, default=None) -> float:
         if default is None:
             raise ValueError(f"{path}: no {key} given")
         return default
+    parse, what = _number
     try:
-        value = float(text)
+        return parse(text)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{path}: {key} = {text!r} is not a finite number")
-    return value
+        raise ValueError(f"{path}: {key} = {text!r} is not {what}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +549,8 @@ def cmd_compare_g(args, cfg: ExperimentConfig, out_dir: str) -> int:
     through the configured IRF of its domain at the detuning its file
     states, then compare the two."""
     log = _log("compare-g")
+    if not (args.spectrum or args.decay):
+        raise ConfigError("compare-g needs --spectrum or --decay")
     p = cfg.params
 
     def spectral(path):
@@ -690,7 +685,8 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
 def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
     """Generate noisy forward-model data files plus ground-truth sidecars."""
     log = _log("synthesize")
-    seed = _resolve_seed(args, cfg)
+    seed = ((cfg.seed or 0) if args.seed is None
+            else _read(_seed, args.seed, "--seed"))
     # the decay curve and every grid check first: a rejected run writes nothing
     decay, decay_truth = _synth_decay(cfg, np.random.default_rng((seed, 2)))
     grid = cfg.spectrum_grid()
@@ -749,9 +745,8 @@ _COMMANDS = (
                      ("--decay", {"help": "decay-curve data file"}))),
     ("deconvolve", "Fourier-deconvolve data files", cmd_deconvolve, _FILES),
     ("synthesize", "generate noisy synthetic data with truth sidecars",
-     cmd_synthesize, (("--seed", {"type": int, "help": "RNG seed, an "
-                                  "integer >= 0 (default: [output] seed, "
-                                  "else 0)"}),)),
+     cmd_synthesize, (("--seed", {"help": f"RNG seed, {_seed[1]} (default: "
+                                  "[output] seed, else 0)"}),)),
 )
 
 
@@ -767,7 +762,7 @@ def main(argv=None) -> int:
                          help="experiment config file")
         sub.add_argument("--out", default=None, help="output directory "
                          "(default: [output] out_dir)")
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", default="1",
                          help="worker processes (simulate-sweep only)")
         sub.add_argument("--quiet", action="store_true",
                          help="suppress everything but errors")
@@ -780,6 +775,7 @@ def main(argv=None) -> int:
                         level=logging.ERROR if args.quiet else logging.INFO)
     created = None
     try:
+        args.jobs = _read(_integer(1), args.jobs, "--jobs")
         cfg = load_config(args.config)
         out_dir = args.out or cfg.out_dir
         if not os.path.isdir(out_dir):

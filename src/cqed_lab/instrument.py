@@ -350,15 +350,25 @@ def _read_columns(path) -> tuple[np.ndarray, np.ndarray, dict]:
     return xs, ys, meta
 
 
+def _stated_domain(path, meta: dict, domain: str | None) -> str:
+    """The domain of a column file read as ``domain`` (None: as stated):
+    its ``domain`` header, else spectral if it states a ``frame``.  A file
+    stating another domain than ``domain`` is refused."""
+    stated = meta.get("domain", "spectral" if "frame" in meta else None)
+    if domain and stated and stated != domain:
+        raise GridError(f"{path}: a {stated} file, read as {domain}")
+    return domain or stated or "spectral"
+
+
 def read_signal(path, domain: str | None = None) -> tuple[SampledSignal, dict]:
     """Read a two-column signal file; returns the signal and its metadata."""
     xs, ys, meta = _read_columns(path)
-    dom = domain or meta.get("domain", "spectral")
+    dom = _stated_domain(path, meta, domain)
     return SampledSignal(grid=xs, values=ys, domain=dom), meta
 
 
 def read_irf(path, domain: str | None = None) -> IrfKernel:
     """Read a measured IRF file; negative counts are rejected, rest renormalized."""
     xs, ys, meta = _read_columns(path)
-    dom = domain or meta.get("domain", "spectral")
+    dom = _stated_domain(path, meta, domain)
     return IrfKernel.from_samples(xs, ys, domain=dom)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PeakError
-from .instrument import SampledSignal, _read_columns, _write_columns
+from .instrument import (SampledSignal, _read_columns, _stated_domain,
+                         _write_columns)
 from .model import SystemParams, decay_moments, generator_matrix
 # bound here as well: the tracing self-test checks that wrapping leaves
 # spectra.propagate and model.propagate the same object
@@ -369,6 +370,7 @@ def write_spectrum(spec: SampledSignal, path,
 def read_spectrum(path) -> tuple[Spectrum, dict]:
     """Read an offset-frame spectrum file; returns it and its metadata."""
     xs, ys, meta = _read_columns(path)
+    _stated_domain(path, meta, "spectral")
     frame = meta.get("frame", "offset")
     if frame != "offset":
         raise GridError(f"{path}: frame {frame!r} is not supported; spectra "

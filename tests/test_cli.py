@@ -363,6 +363,33 @@ def test_fit_spectra_counts_an_unreadable_file_and_fits_the_rest(
         os.path.basename(f) for f in files)
 
 
+def test_fit_spectra_counts_a_decay_curve_as_a_failed_input(tmp_path, caplog,
+                                                           mp_synth):
+    # a decay curve states the temporal domain: fitting it as a spectrum
+    # gave a Q of ~3e7 and no flag
+    config, data = mp_synth
+    files = sorted(map(str, data.glob("spectrum_delta_*ueV.txt")))
+    decay = data / "decay.txt"
+    out = tmp_path / "fits"
+    assert cli.main(["fit-spectra", "--config", str(config), "--out",
+                     str(out), "--quiet", str(decay), *files]) == 1
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["n_failures"] == 1
+    assert verdict["n_records"] == len(files) == 7
+    assert verdict["label"] == "crossing"
+    assert f"{decay}: a temporal file, read as spectral" in caplog.text
+
+
+def test_fit_decay_fails_a_spectrum_file(tmp_path, caplog, mp_synth):
+    config, data = mp_synth
+    spectrum = data / cli._spectrum_filename(0.0)
+    out = tmp_path / "fits"
+    assert cli.main(["fit-decay", "--config", str(config), "--out", str(out),
+                     "--quiet", str(spectrum), str(data / "decay.txt")]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["decay_fit.json"]
+    assert f"{spectrum}: a spectral file, read as temporal" in caplog.text
+
+
 def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
     # a file without the line and one whose value is blank both record NaN
     config, data = mp_synth
@@ -485,6 +512,34 @@ def test_compare_g_reports_a_missing_decay_side(tmp_path, mp_synth):
                         .read_text())
     assert report["spectral"]["available"]
     assert report["dynamical"] == {"available": False}
+
+
+def test_compare_g_refuses_swapped_inputs(tmp_path, mp_synth):
+    config, data = mp_synth
+    spectrum, decay = data / cli._spectrum_filename(0.0), data / "decay.txt"
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
+                     "--quiet", "--spectrum", str(decay),
+                     "--decay", str(spectrum)]) == 1
+    report = json.loads((out / "compare_g.json").read_text())
+    assert report["spectral"] == {
+        "available": False,
+        "error": f"{decay}: a temporal file, read as spectral"}
+    assert report["dynamical"] == {
+        "available": False,
+        "error": f"{spectrum}: a spectral file, read as temporal"}
+    assert "comparison" not in report
+
+
+def test_compare_g_without_inputs_exits_2(tmp_path, caplog, mp_synth):
+    config, _ = mp_synth
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-g", "--config", str(config), "--out", str(out),
+                     "--quiet"]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "--spectrum or --decay" in errors[0], errors
+    assert not out.exists()
 
 
 def test_deconvolve_without_temporal_irf_fails_that_file(tmp_path, mp_synth):
@@ -682,6 +737,14 @@ def test_simulate_sweep_jobs_write_the_same_bytes(tmp_path):
     assert outs["2"] == outs["1"]
 
 
+# what the value of each wrongly typed case must be, as the error says
+KIND_OF = {"kappa_ueV = fast": "a finite number",
+           "deltas_ueV = -50, zero": "finite numbers",
+           "noise = maybe": "a boolean",
+           "decay_mode = quad": "one of single, bi, multi",
+           "grid_points = 8": "an integer >= 16"}
+
+
 @pytest.mark.parametrize("old,new,marker", [
     ("", "[ ]\n", "[ ]"),
     ("", "[bogus]\nx = 1\n", "[bogus]"),
@@ -735,6 +798,23 @@ def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):
     assert text != VALID
     (tmp_path / "irf.txt").write_text("-1 1\n0 2\n1 1\n")
     assert_config_error(tmp_path, caplog, text, marker)
+    if marker in KIND_OF:
+        assert f"must be {KIND_OF[marker]}, got " in caplog.text
+
+
+@pytest.mark.parametrize("key,stated", [
+    ("temporal_irf_file", "# domain = spectral\n"),
+    ("temporal_irf_file", "# frame = offset\n"),
+    ("spectral_irf_file", "# domain = temporal\n"),
+], ids=["temporal-from-spectral", "temporal-from-frame",
+        "spectral-from-temporal"])
+def test_irf_file_of_the_other_domain_exits_2(tmp_path, caplog, key, stated):
+    (tmp_path / "irf.txt").write_text(stated + "-1 1\n0 2\n1 1\n")
+    fwhm = ("temporal_irf_fwhm_ns = 0.05" if key.startswith("temporal")
+            else "spectrometer_q = 40000.0")
+    line = f"{key} = irf.txt"
+    assert_config_error(tmp_path, caplog, VALID.replace(fwhm, line), line)
+    assert "read as " + key.split("_")[0] in caplog.text
 
 
 @pytest.mark.parametrize("command,count", [
@@ -748,14 +828,15 @@ def test_unusable_irf_file_exits_2(tmp_path, caplog, command, count):
                         command=command)
 
 
-@pytest.mark.parametrize("config_seed", ["", "[output]\nseed = 3\n"],
-                         ids=["--seed", "--seed-over-config"])
-def test_negative_seed_exits_2(tmp_path, caplog, config_seed):
+@pytest.mark.parametrize("config_seed,seed", [
+    ("", "-1"), ("[output]\nseed = 3\n", "-1"), ("", "abc")],
+    ids=["--seed", "--seed-over-config", "--seed-abc"])
+def test_negative_seed_exits_2(tmp_path, caplog, config_seed, seed):
     path = tmp_path / "ok.ini"
     path.write_text(VALID + config_seed)
     out = tmp_path / "out"
     argv = ["synthesize", "--config", str(path), "--out", str(out), "--quiet",
-            "--seed", "-1"]
+            "--seed", seed]
     assert cli.main(argv) == 2
     errors = [r.getMessage() for r in caplog.records
               if r.levelno >= logging.ERROR]
@@ -766,6 +847,21 @@ def test_negative_seed_exits_2(tmp_path, caplog, config_seed):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate-sweep", "fit-spectra"])
+@pytest.mark.parametrize("jobs", ["0", "-4", "x"])
+def test_bad_jobs_exits_2(tmp_path, caplog, command, jobs):
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    out = tmp_path / "out"
+    files = [str(tmp_path / "x.txt")] if command == "fit-spectra" else []
+    assert cli.main([command, "--config", str(path), "--out", str(out),
+                     "--quiet", "--jobs", jobs, *files]) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert errors == [f"--jobs must be an integer >= 1, got '{jobs}'"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,files,dropped", [
