@@ -15,10 +15,14 @@ by less than 1e-14 of itself, or after 500 residual evaluations.  The
 solver's ``fun`` returns the residual and its Jacobian; a rejected trial's
 Jacobian is dropped.  ``_solve`` raises ``FitError`` when the evaluation
 limit stopped it, so every ``FitResult`` is ``converged``; it builds the
-result's standard errors from the curvature, names in ``at_bound`` the
-parameters on their lower bound, or within 1e-8 of it, and, for a fit
-weighted by ``sigma``, flags ``model-mismatch`` when chi^2/dof lies more
-than five of its standard deviations, sqrt(2/dof), above 1.  Every model
+result's standard errors from the curvature J^T J, inverted once.  When
+the inversion fails, or the 1-norm condition number taken from that
+inverse, ||J^T J||_1 ||(J^T J)^-1||_1, is not finite or exceeds 1e14, the
+fit is flagged ``singular-curvature`` and the errors come from the
+pseudo-inverse.  ``_solve`` names in ``at_bound`` the parameters on
+their lower bound, or within 1e-8 of it, and, for a fit weighted by
+``sigma``, flags ``model-mismatch`` when chi^2/dof lies more than five of
+its standard deviations, sqrt(2/dof), above 1.  Every model
 returns its values and its analytic Jacobian, parameter-major (its
 transpose is C-contiguous): the Lorentzian pair and the multiexponential
 in closed form, the emitter-cavity spectrum through the derivatives of
@@ -303,7 +307,7 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf),
                 mu *= nu
                 nu *= 2.0
             f_done = reduction < ftol * cost and rho > 0.25
-            x_done = np.linalg.norm(s) < xtol * (xtol + np.linalg.norm(x))
+            x_done = math.sqrt(s @ s) < xtol * (xtol + math.sqrt(x @ x))
             if f_done or x_done:
                 status = 4 if f_done and x_done else 2 if f_done else 3
                 break
@@ -354,14 +358,17 @@ def _solve(model, data: SampledSignal, p0, lower, names,
     messages = []
     jtj = res.jac.T @ res.jac
     try:
-        cond = np.linalg.cond(jtj)
+        inv = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cond = np.inf
+    else:
+        with np.errstate(all="ignore"):  # an overflow reads as inf
+            cond = float(np.linalg.norm(jtj, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > 1e14:
         messages.append("singular-curvature")
         cov = np.linalg.pinv(jtj) * (ssr / dof)
     else:
-        cov = np.linalg.inv(jtj) * (ssr / dof)
+        cov = inv * (ssr / dof)
     if sigma is not None and ssr / dof > 1.0 + 5.0 * math.sqrt(2.0 / dof):
         messages.append("model-mismatch")
     err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -527,7 +534,8 @@ def seed_decay(curve: SampledSignal, n_comp: int):
     """Initial rates/amplitudes by log-linear regression and tail peeling."""
     t, y = curve.grid, curve.values
     tail = max(3, y.size // 20)
-    baseline = float(np.median(y[-tail:]))
+    s = np.sort(y[-tail:])  # np.median's value; np.median loads numpy.ma
+    baseline = float((s[(tail - 1) // 2] + s[tail // 2]) / 2)
     work = y - baseline
     i0 = int(np.argmax(work))
     if work[i0] <= 0:

@@ -86,17 +86,21 @@ def test_synthesize_then_fit_spectra_verdict(tmp_path, system):
 def test_cli_import_leaves_out_stats_and_signal(tmp_path):
     # a fresh interpreter: importing the CLI and running every subcommand,
     # the fitting ones included, must not load any scipy module,
-    # configparser, nor concurrent.futures (only --jobs > 1 needs it)
+    # configparser, concurrent.futures (only --jobs > 1 needs it), nor
+    # numpy.ma beyond what numpy itself loads
     config = tmp_path / "mp.ini"
     write_config(config, "mp", "\n[fit]\ncoupling_mode = full\n")
     code = textwrap.dedent("""
         import glob, os, sys
+        import numpy
+        with_numpy = {m for m in sys.modules  # numpy 1.x loads numpy.ma
+                      if m == "numpy.ma" or m.startswith("numpy.ma.")}
         import cqed_lab.cli as cli
 
         def loaded():
-            return sorted(m for m in sys.modules if m in (
-                "configparser", "concurrent.futures", "scipy")
-                or m.startswith("scipy."))
+            return sorted(m for m in set(sys.modules) - with_numpy if m in (
+                "configparser", "concurrent.futures", "scipy", "numpy.ma")
+                or m.startswith(("scipy.", "numpy.ma.")))
 
         config, root = sys.argv[1], sys.argv[2]
         print(loaded())

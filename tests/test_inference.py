@@ -118,6 +118,10 @@ class TestFitLorentzianPair:
         fit = fit_lorentzian_pair(SampledSignal(self.x, y, "spectral"), init)
         assert fit.estimates["height_2"] == 0.0
         assert "vanished-line" in fit.messages
+        # the dead line's center and width columns of J are zero, so J^T J
+        # is exactly singular: its errors come from the pseudo-inverse
+        assert "singular-curvature" in fit.messages
+        assert np.isfinite(list(fit.errors.values())).all()
         record = extract_sweep_record(fit, 930.0)
         assert 0.0 in (record.rel_area_qd, record.rel_area_ca)
 
@@ -296,6 +300,17 @@ class TestFitDecay:
         late_curve, late = delayed(curve, irf, 250)
         late_fit = fit_decay(late_curve, irf=late, mode="single")
         assert late_fit.estimates["rate_1"] == pytest.approx(rate, rel=1e-6)
+
+    @pytest.mark.parametrize("size", [20, 59, 60, 79, 80, 99, 100, 120])
+    def test_seed_baseline_is_the_tail_median(self, size):
+        # tails of 3, 4, 5 and 6 samples, with ties and negative values
+        y = np.random.default_rng(size).choice(
+            [-2.5, -0.75, 0.0, 0.0, 1.25, 3.0], size)
+        y[0] = 50.0
+        tail = max(3, size // 20)
+        curve = SampledSignal(0.1 * np.arange(size), y, "temporal")
+        baseline = cqed_lab.inference.seed_decay(curve, 1)[2]
+        assert baseline == float(np.median(y[-tail:]))
 
     def test_flat_input_errors(self):
         t = np.arange(-1.0, 10.0, 0.01)
@@ -694,6 +709,22 @@ class TestLeastSquares:
         for name, value in ours.estimates.items():
             assert abs(value - reference.estimates[name]) \
                 <= 0.1 * reference.errors[name], name
+
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_noisy_pair(with_irf=False),
+        fit_noisy_multi,
+        fit_noisy_jc,
+    ], ids=["pair", "multi", "jc"])
+    def test_curvature_of_a_regular_fit_takes_no_svd(self, monkeypatch, fit):
+        plain = fit()
+        assert "singular-curvature" not in plain.messages
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an SVD was computed")
+
+        monkeypatch.setattr(np.linalg, "cond", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        assert fit().to_dict() == plain.to_dict()
 
     def test_amplitude_driven_onto_zero_bound(self):
         # the second component of a bi-exponential fit to one exponential
