@@ -10,19 +10,17 @@ spectral Rabi splitting.
 
 from .errors import (ConfigError, CqedError, DeconvolutionError, FitError,
                      GridError, PeakError, TruncationError)
-from .inference import (CouplingClassification, CouplingComparison,
-                        FitResult, LorentzianPairParams, SweepRecord,
-                        classify_coupling, compare_coupling_estimates,
+from .inference import (CouplingClassification, FitResult,
+                        LorentzianPairParams, SweepRecord, classify_coupling,
                         extract_sweep_record, fit_decay,
                         fit_jc_cavity_spectrum, fit_lorentzian_pair,
-                        lorentzian, seed_lorentzian_pair)
+                        seed_lorentzian_pair)
 from .instrument import (IrfKernel, SampledSignal, convolve, deconvolve,
                          gaussian_irf, irf_band_limit, irf_fwhm_from_q,
                          read_irf, read_signal, write_signal)
 from .model import (SystemParams, Trajectory, coupling_from_rate,
                     decay_moments, default_horizon, default_time_step,
-                    mean_decay_rate, propagate, quality_factor,
-                    weak_coupling_rate)
+                    mean_decay_rate, propagate, quality_factor)
 from .spectra import (CorrelationKernel, DetectionCoefficients, Spectrum,
                       correlation_kernel, default_grid, emission_spectrum,
                       rabi_splitting, read_spectrum, resolvent_transform,

@@ -47,15 +47,12 @@ __all__ = [
     "LorentzianPairParams",
     "SweepRecord",
     "CouplingClassification",
-    "CouplingComparison",
-    "lorentzian",
     "fit_lorentzian_pair",
     "seed_lorentzian_pair",
     "extract_sweep_record",
     "fit_decay",
     "fit_jc_cavity_spectrum",
     "classify_coupling",
-    "compare_coupling_estimates",
 ]
 
 _XTOL = 1e-8
@@ -153,33 +150,6 @@ class CouplingClassification:
     label: str
     min_separation: float
     threshold: float
-
-
-@dataclass
-class CouplingComparison:
-    g_spectral: float
-    g_dynamical: float
-    ratio: float
-    spectral_verdict: str
-    dynamical_verdict: str
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "g_spectral_ueV": self.g_spectral,
-            "g_dynamical_ueV": self.g_dynamical,
-            "ratio": self.ratio,
-            "spectral_verdict": self.spectral_verdict,
-            "dynamical_verdict": self.dynamical_verdict,
-            "strong_coupling_threshold_ueV": self.threshold,
-        }
-
-
-def lorentzian(x: np.ndarray, center: float, fwhm: float,
-               height: float) -> np.ndarray:
-    """Lorentzian with peak value ``height``; area = (pi/2) height fwhm."""
-    q = fwhm / 2.0
-    return height * q * q / ((x - center) ** 2 + q * q)
 
 
 @dataclass
@@ -727,27 +697,3 @@ def classify_coupling(records: list[SweepRecord]) -> CouplingClassification:
     label = "anti_crossing" if min_sep > threshold else "crossing"
     return CouplingClassification(label=label, min_separation=min_sep,
                                   threshold=threshold)
-
-
-def compare_coupling_estimates(g_spectral: float, g_dynamical: float,
-                               kappa: float, gamma: float,
-                               gamma_dp: float) -> CouplingComparison:
-    """Compare coupling strengths from spectra and from dynamics.
-
-    The strong/weak verdict is g above the shared rates'
-    :attr:`SystemParams.strong_coupling_threshold`.
-    """
-    if g_spectral <= 0 or g_dynamical <= 0:
-        raise ValueError("coupling strengths must be positive")
-    threshold = SystemParams(0.0, kappa, gamma,
-                             gamma_dp).strong_coupling_threshold
-
-    def verdict(g):
-        return "strong" if g > threshold else "weak"
-
-    return CouplingComparison(
-        g_spectral=g_spectral, g_dynamical=g_dynamical,
-        ratio=g_spectral / g_dynamical,
-        spectral_verdict=verdict(g_spectral),
-        dynamical_verdict=verdict(g_dynamical),
-        threshold=threshold)

@@ -38,7 +38,6 @@ __all__ = [
     "SystemParams",
     "Trajectory",
     "propagate",
-    "weak_coupling_rate",
     "decay_moments",
     "mean_decay_rate",
     "coupling_from_rate",
@@ -237,17 +236,6 @@ def propagate(params: SystemParams, t_max: float | None = None,
                       rho_po=y[2] + 1j * y[3])
 
 
-def weak_coupling_rate(params: SystemParams) -> float:
-    """Adiabatic-elimination decay rate of the emitter, ns^-1.
-
-    Valid when the coherence decays much faster than the populations; the
-    closed form is gamma + 2 g^2 gamma_tot / (gamma_tot^2 + delta^2).
-    """
-    gtot = params.gamma_tot
-    enh = 2.0 * params.g ** 2 * gtot / (gtot ** 2 + params.delta ** 2)
-    return (params.gamma + enh) / HBAR_UEV_NS
-
-
 def mean_decay_rate(params: SystemParams) -> float:
     """Inverse mean decay time, ns^-1.
 
@@ -271,7 +259,8 @@ def coupling_from_rate(target: float, params: SystemParams,
                        mode: str = "adiabatic") -> float:
     """Coupling strength g (ueV) reproducing a measured decay rate (ns^-1).
 
-    ``mode="adiabatic"`` inverts the closed-form weak-coupling rate,
+    ``mode="adiabatic"`` inverts the weak-coupling rate of adiabatic
+    elimination, Gamma = gamma + 2 g^2 gamma_tot / (gamma_tot^2 + delta^2):
     g^2 = (Gamma - gamma)(gamma_tot^2 + delta^2) / (2 gamma_tot).
     ``mode="full"`` inverts :func:`mean_decay_rate` exactly: the mean decay
     time is hbar [4 gamma_tot g^2 + kappa D] / [2 (gamma + kappa) gamma_tot

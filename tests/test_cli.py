@@ -324,6 +324,74 @@ def test_compare_g_prints_its_table_only_without_quiet(tmp_path, capsys):
     assert (tmp_path / "quiet" / "compare_g.json").read_text() == report
 
 
+def write_zero_detuning_config(path, system, g):
+    """``system`` at coupling ``g`` (ueV) and zero detuning alone, on the
+    4096-point default grid, inverting decays with the full model."""
+    write_config(path, system, "\n[fit]\ncoupling_mode = full\n")
+    rates, deltas, _ = SYSTEMS[system]
+    path.write_text(path.read_text()
+                    .replace(rates.splitlines()[0], f"g_ueV = {g}")
+                    .replace(deltas, "0")
+                    .replace("grid_span_ueV = 1500\ngrid_points = 1501",
+                             "grid_points = 4096"))
+
+
+def test_compare_g_reads_the_pc_doublet_as_the_paper_does(tmp_path, capsys):
+    # the paper's PC comparison: the spectrum gives a g above the
+    # strong-coupling threshold, the decay one below it
+    spec_config, dyn_config = tmp_path / "spec.ini", tmp_path / "dyn.ini"
+    write_zero_detuning_config(spec_config, "pc", 92.4)
+    write_zero_detuning_config(dyn_config, "pc", 22.0)
+    for config, data in ((spec_config, "spec"), (dyn_config, "dyn")):
+        assert cli.main(["synthesize", "--config", str(config), "--out",
+                         str(tmp_path / data), "--seed", "1",
+                         "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli.main([
+        "compare-g", "--config", str(spec_config), "--out",
+        str(tmp_path / "cmp"), "--spectrum",
+        str(tmp_path / "spec" / cli._spectrum_filename(0.0)),
+        "--decay", str(tmp_path / "dyn" / "decay.txt")]) == 0
+    report = json.loads((tmp_path / "cmp" / "compare_g.json").read_text())
+    g_spec, g_dyn = (report[side]["g_ueV"] for side in ("spectral",
+                                                         "dynamical"))
+    threshold = cli.load_config(str(spec_config)).params \
+        .strong_coupling_threshold
+    assert report["comparison"] == {
+        "g_spectral_ueV": g_spec, "g_dynamical_ueV": g_dyn,
+        "ratio": g_spec / g_dyn, "spectral_verdict": "strong",
+        "dynamical_verdict": "weak",
+        "strong_coupling_threshold_ueV": threshold}
+    assert g_dyn < threshold < g_spec
+    assert capsys.readouterr().out.splitlines() == [
+        "coupling-strength comparison",
+        "  spectral:  g =    92.41 ueV  [strong]",
+        "  dynamical: g =    22.02 ueV  [weak]",
+        "  ratio spectral/dynamical = 4.20",
+        "  strong-coupling threshold = 46.70 ueV"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compare_g_flags_the_weak_coupling_degeneracy(tmp_path, seed):
+    # at g = 0.5 ueV the cavity spectrum fixes only the product of its
+    # amplitude and a function of g, so the fit slides toward g -> 0 while
+    # the amplitude grows: the spectral side must be flagged or fail, never
+    # a plain g
+    config = tmp_path / "mp.ini"
+    write_zero_detuning_config(config, "mp", 0.5)
+    data, out = tmp_path / "data", tmp_path / "cmp"
+    assert cli.main(["synthesize", "--config", str(config), "--out",
+                     str(data), "--seed", str(seed), "--quiet"]) == 0
+    code = cli.main(["compare-g", "--config", str(config), "--out", str(out),
+                     "--quiet", "--spectrum",
+                     str(data / cli._spectrum_filename(0.0))])
+    spectral = json.loads((out / "compare_g.json").read_text())["spectral"]
+    if spectral["available"]:
+        assert spectral["messages"] and code == 0, spectral
+    else:
+        assert spectral["error"] and code == 1, spectral
+
+
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_fit_decay_matches_compare_g_fast_rate(tmp_path, system):
     config = tmp_path / f"{system}.ini"

@@ -9,11 +9,11 @@ from scipy.optimize import brentq
 import cqed_lab.inference
 from cqed_lab import (FitError, IrfKernel, LorentzianPairParams,
                       SampledSignal, SweepRecord, SystemParams,
-                      classify_coupling, compare_coupling_estimates, convolve,
-                      emission_spectrum, extract_sweep_record, fit_decay,
-                      fit_jc_cavity_spectrum, fit_lorentzian_pair, gaussian_irf,
-                      irf_fwhm_from_q, lorentzian, propagate,
-                      rabi_splitting, seed_lorentzian_pair)
+                      classify_coupling, convolve, emission_spectrum,
+                      extract_sweep_record, fit_decay, fit_jc_cavity_spectrum,
+                      fit_lorentzian_pair, gaussian_irf, irf_fwhm_from_q,
+                      propagate, rabi_splitting, seed_lorentzian_pair)
+from oracles import lorentzian
 
 PC_FIXED = {"kappa": 195.0, "gamma": 0.2, "gamma_dp": 4.0, "delta": 0.0}
 
@@ -555,24 +555,6 @@ class TestClassifyCoupling:
             r.rel_area_ca = 0.0
         with pytest.raises(ValueError, match="zero area"):
             classify_coupling(records)
-
-
-class TestCompareCouplingEstimates:
-    def test_paper_values(self):
-        cmp_ = compare_coupling_estimates(92.4, 22.0, 195.0, 0.2, 4.0)
-        assert cmp_.ratio == pytest.approx(4.2, abs=0.01)
-        assert cmp_.threshold == pytest.approx(46.7, abs=0.06)
-        assert cmp_.spectral_verdict == "strong"
-        assert cmp_.dynamical_verdict == "weak"
-
-    def test_identity_ratio(self):
-        cmp_ = compare_coupling_estimates(40.0, 40.0, 195.0, 0.2, 4.0)
-        assert cmp_.ratio == 1.0
-        assert cmp_.spectral_verdict == cmp_.dynamical_verdict
-
-    def test_positive_inputs_required(self):
-        with pytest.raises(ValueError):
-            compare_coupling_estimates(0.0, 10.0, 100.0, 1.0, 1.0)
 
 
 class TestFitResultRecord:

@@ -6,8 +6,8 @@ from scipy.optimize import least_squares
 
 from cqed_lab import (DeconvolutionError, GridError, IrfKernel, SampledSignal,
                       convolve, deconvolve, gaussian_irf, irf_band_limit,
-                      irf_fwhm_from_q, lorentzian, read_irf, read_signal,
-                      write_signal)
+                      irf_fwhm_from_q, read_irf, read_signal, write_signal)
+from oracles import lorentzian
 
 
 def kernel_grid(half_n, step):

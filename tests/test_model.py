@@ -6,9 +6,10 @@ import pytest
 from cqed_lab import (HBAR_UEV_NS, GridError, SystemParams, TruncationError,
                       correlation_kernel, coupling_from_rate, decay_moments,
                       default_time_step, emission_spectrum, mean_decay_rate,
-                      propagate, quality_factor, weak_coupling_rate)
+                      propagate, quality_factor)
 from cqed_lab.model import _expm, generator_matrix
-from oracles import rabi_oracle, rk4_trajectory, simpson_integral
+from oracles import (rabi_oracle, rk4_trajectory, simpson_integral,
+                     weak_coupling_rate)
 
 
 def random_params(rng):
@@ -141,6 +142,8 @@ class TestRabiOracle:
 
 
 class TestWeakCouplingRate:
+    # the oracle's closed form, the arbiter of the adiabatic tests below,
+    # checked against the limits the rate must have
     def test_no_cavity(self):
         params = SystemParams(g=0.0, kappa=100.0, gamma=1.3, gamma_dp=2.0)
         assert weak_coupling_rate(params) == pytest.approx(1.3 / HBAR_UEV_NS)

@@ -9,14 +9,14 @@ from cqed_lab import (HBAR_UEV_NS, DetectionCoefficients, GridError,
                       PeakError, SampledSignal, Spectrum, SystemParams,
                       convolve, correlation_kernel, default_grid,
                       emission_spectrum, fit_lorentzian_pair, gaussian_irf,
-                      lorentzian, propagate, rabi_splitting, read_spectrum,
+                      propagate, rabi_splitting, read_spectrum,
                       resolvent_transform, seed_lorentzian_pair,
                       write_signal, write_spectrum)
 from cqed_lab import spectra
 from cqed_lab.instrument import _META, _write_columns
 from cqed_lab.model import decay_moments, generator_matrix
 from cqed_lab.spectra import _detected_intensity, _prominent_maxima
-from oracles import fft_half_range_spectrum, simpson_integral
+from oracles import fft_half_range_spectrum, lorentzian, simpson_integral
 
 
 class TestDetectionCoefficients:
@@ -84,16 +84,24 @@ class TestCorrelationKernel:
 
 
 class TestResolventTransform:
-    @pytest.mark.parametrize("name", ["micropillar", "pc_cavity"])
-    def test_agrees_with_fft_path(self, name, request):
-        params = request.getfixturevalue(name)
-        kern = correlation_kernel(params)
+    @pytest.mark.parametrize("name, delta", [
+        pytest.param("micropillar", 0.0, id="micropillar"),
+        pytest.param("pc_cavity", 0.0, id="pc_cavity"),
+        pytest.param("pc_cavity", 60.0, id="pc_cavity-delta60"),
+    ])
+    def test_agrees_with_fft_path(self, name, delta, request):
+        # the oracle builds its own generator and start vector; the
+        # package's kernel and the path the commands run must both match it
+        params = request.getfixturevalue(name).with_(delta=delta)
         span = 6.0 * max(params.kappa, 2 * params.g)
+        omega, oracle = fft_half_range_spectrum(params, span)
+        kern = correlation_kernel(params)
         kt = params.kappa / HBAR_UEV_NS
-        omega, oracle = fft_half_range_spectrum(kern.matrix, kern.v0, span, kt)
         direct = kt * resolvent_transform(kern.matrix, kern.v0, omega)[0].real \
             / (math.pi * HBAR_UEV_NS)
-        assert np.abs(direct - oracle).max() <= 1e-6 * np.abs(oracle).max()
+        spectrum = emission_spectrum(params, grid=omega).values
+        for got in (direct, spectrum):
+            assert np.abs(got - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
     def test_decoupled_cavity_lorentzian(self):
         # unit cavity correlation through the g=0 kernel: bare cavity line
