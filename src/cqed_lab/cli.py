@@ -6,11 +6,11 @@ blocks; all energies in ueV, times in ns, wavelengths in nm (units are part
 of the key names).  Only ``synthesize`` draws random numbers; its seed is
 ``--seed``, else ``[output] seed``, else 0.  Outputs are written atomically
 and deterministically: a fixed config and seed reproduce byte-identical
-files.  ``_SCHEMA`` is the reference for the config: every section and key
-(with its unit), its value's kind, and its default.  One table of kinds
-(a parser and what it accepts) checks config keys, ``--seed``, ``--jobs``
-and data files' numbers.  IRF files are read once, at load, so a run
-applies one kernel; a bad one exits 2.
+files.  ``_SCHEMA`` is the only declaration of a setting: every section
+and key (with its unit), its value's kind, and its default.  One table of
+kinds (a parser and what it accepts) checks config keys, ``--seed``,
+``--jobs`` and data files' numbers.  IRF files are read once, at load, so
+a run applies one kernel; a bad one exits 2.
 ``[decay] delta_ueV`` is the detuning ``synthesize`` writes into its decay
 curve; analysis reads each data file's own ``detuning_ueV``, and compare-g
 refuses a file without one.
@@ -25,7 +25,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+import types
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,8 +122,8 @@ def _choice(*names):
 
 _seed = _integer(0)
 
-# Every config key: section, key, ExperimentConfig field (or the value
-# load_config turns into one: SystemParams, DetectionCoefficients, sweep,
+# Every config key: section, key, ExperimentConfig attribute (or the value
+# load_config folds into one: SystemParams, DetectionCoefficients, sweep,
 # spectrometer Q, IRF file), kind, default.
 _SCHEMA = (
     ("system", "g_ueV", "g", _number, REQUIRED),
@@ -162,39 +163,21 @@ _SCHEMA = (
     ("output", "out_dir", "out_dir", _parser(str, "a directory"), "."),
     ("output", "seed", "seed", _seed, None),
 )
+# the SystemParams rates, in ueV: config keys, file headers, truth sidecars
+_RATES = ("g", "kappa", "gamma", "gamma_dp")
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(types.SimpleNamespace):
     """Validated experiment description driving all subcommands.
 
-    :func:`load_config` builds it; ``_SCHEMA`` holds each field's key and
-    default.
+    :func:`load_config` builds it.  ``_SCHEMA`` is the only declaration of a
+    setting: each key that load_config does not fold into another value is
+    an attribute under its ``_SCHEMA`` name.  The derived attributes are
+    ``path`` (the config file), ``params`` (:class:`model.SystemParams`),
+    ``det`` (:class:`spectra.DetectionCoefficients`), ``deltas`` (the sorted
+    sweep) and ``spectral_irf`` and ``temporal_irf`` (each the kernel of its
+    IRF file, or None).
     """
-
-    path: str
-    params: model.SystemParams
-    deltas: list
-    det: spectra.DetectionCoefficients
-    wavelength_nm: float | None
-    grid_span: float | None
-    grid_points: int
-    convolve_irf: bool
-    spectral_irf: instrument.IrfKernel | None
-    spectral_irf_fwhm: float | None
-    temporal_irf: instrument.IrfKernel | None
-    temporal_irf_fwhm: float | None
-    decay_delta: float
-    decay_t_max: float | None
-    decay_dt: float | None
-    decay_mode: str
-    coupling_mode: str
-    fit_convolve_irf: bool
-    band_limit: float | None
-    peak_counts: float
-    noise: bool
-    out_dir: str
-    seed: int | None
 
     def spectrum_grid(self) -> np.ndarray:
         if self.grid_span is not None:
@@ -245,8 +228,7 @@ def load_config(path: str) -> ExperimentConfig:
             v[name] = default
 
     try:
-        params = model.SystemParams(**{k: v.pop(k) for k in (
-            "g", "kappa", "gamma", "gamma_dp")})
+        params = model.SystemParams(**{k: v.pop(k) for k in _RATES})
     except ValueError as exc:
         raise ConfigError(f"{path}: [system] {exc}") from None
     try:
@@ -286,38 +268,37 @@ def load_config(path: str) -> ExperimentConfig:
         fail("sweep", "delta_step_ueV" if ranged else "deltas_ueV",
              "repeats a detuning to the file-name resolution, 0.001 ueV")
 
-    cfg_dir = os.path.dirname(os.path.abspath(path))
-    for key in ("spectral_irf_file", "temporal_irf_file"):
-        if v[key] is not None:
-            v[key] = os.path.join(cfg_dir, v[key])
-            if not os.path.isfile(v[key]):
-                fail("instrument", key,
-                     f"names a file that does not exist: {v[key]}")
-
     # an IRF comes from one key: its file, its FWHM or the spectrometer Q
+    cfg_dir = os.path.dirname(os.path.abspath(path))
     inst = sections.get("instrument", {})
-    for keys in (("spectral_irf_file", "spectral_irf_fwhm_ueV",
-                  "spectrometer_q"),
-                 ("temporal_irf_file", "temporal_irf_fwhm_ns")):
+    for domain, keys in (("spectral", ("spectral_irf_file",
+                                       "spectral_irf_fwhm_ueV",
+                                       "spectrometer_q")),
+                         ("temporal", ("temporal_irf_file",
+                                       "temporal_irf_fwhm_ns"))):
+        key, irf_path = keys[0], v.pop(keys[0])
+        if irf_path is not None:
+            irf_path = os.path.join(cfg_dir, irf_path)
+            if not os.path.isfile(irf_path):
+                fail("instrument", key,
+                     f"names a file that does not exist: {irf_path}")
         given = sorted((k for k in keys if k in inst), key=lambda k: inst[k][1])
         if len(given) > 1:
             fail("instrument", given[1], f"cannot be combined with {given[0]}")
-
-    for domain in ("spectral", "temporal"):
-        key = f"{domain}_irf_file"
         try:
-            v[f"{domain}_irf"] = v[key] and instrument.read_irf(v[key], domain)
+            v[f"{domain}_irf"] = (irf_path
+                                  and instrument.read_irf(irf_path, domain))
         except (CqedError, ValueError, OSError) as exc:
             fail("instrument", key, f"names an unusable IRF: {exc}")
-        del v[key]
 
     spectral_q = v.pop("spectrometer_q")
     if spectral_q is not None:
         if v["wavelength_nm"] is None:
             fail("instrument", "spectrometer_q",
                  "needs [system] wavelength_nm")
-        v["spectral_irf_fwhm"] = instrument.irf_fwhm_from_q(
-            v["wavelength_nm"], spectral_q)
+        # Q = E/FWHM is its own inverse: E/Q is the FWHM
+        v["spectral_irf_fwhm"] = model.quality_factor(v["wavelength_nm"],
+                                                      spectral_q)
 
     if v["spectral_irf"] is None and v["spectral_irf_fwhm"] is None:
         for section, key, name, *_ in _SCHEMA:
@@ -345,15 +326,9 @@ def _spectrum_filename(delta: float) -> str:
 
 
 def _system_metadata(cfg: ExperimentConfig, delta: float) -> dict:
-    p = cfg.params
-    meta = {
-        "detuning_ueV": _fmt(delta),
-        "g_ueV": _fmt(p.g),
-        "kappa_ueV": _fmt(p.kappa),
-        "gamma_ueV": _fmt(p.gamma),
-        "gamma_dp_ueV": _fmt(p.gamma_dp),
-        "background_fraction": _fmt(cfg.det.background_fraction),
-    }
+    meta = {"detuning_ueV": _fmt(delta),
+            **{f"{k}_ueV": _fmt(getattr(cfg.params, k)) for k in _RATES},
+            "background_fraction": _fmt(cfg.det.background_fraction)}
     if cfg.wavelength_nm:
         meta["wavelength_nm"] = _fmt(cfg.wavelength_nm)
     return meta
@@ -536,6 +511,9 @@ def cmd_fit_decay(args, cfg: ExperimentConfig, out_dir: str) -> int:
         base = os.path.splitext(os.path.basename(path))[0]
         _write_json(os.path.join(out_dir, base + "_fit.json"), fit.to_dict())
         log.info("%s: fast rate %.4g 1/ns", path, fit.estimates["rate_1"])
+        if fit.messages:
+            log.warning("%s: decay fit flagged: %s", path,
+                        ", ".join(fit.messages))
 
     return 1 if _each_input(log, args.files, fit_one)[1] else 0
 
@@ -679,8 +657,7 @@ def _synth_decay(cfg: ExperimentConfig, rng) -> tuple:
     truth = {
         "kind": "decay",
         "detuning_ueV": cfg.decay_delta,
-        "params_ueV": {"g": params.g, "kappa": params.kappa,
-                       "gamma": params.gamma, "gamma_dp": params.gamma_dp},
+        "params_ueV": {k: getattr(params, k) for k in _RATES},
         "mean_decay_rate_per_ns": model.mean_decay_rate(params),
     }
     return decay, truth
@@ -701,12 +678,10 @@ def cmd_synthesize(args, cfg: ExperimentConfig, out_dir: str) -> int:
         rng = np.random.default_rng((seed, 1, idx))
         rate, spec = _forward_point(cfg, delta)
         spec, scale = _counts(cfg, spec, rng)
-        p = cfg.params
         truth = {
             "kind": "spectrum",
             "detuning_ueV": delta,
-            "params_ueV": {"g": p.g, "kappa": p.kappa, "gamma": p.gamma,
-                           "gamma_dp": p.gamma_dp},
+            "params_ueV": {k: getattr(cfg.params, k) for k in _RATES},
             "background_fraction": cfg.det.background_fraction,
             "scale_counts_per_intensity": scale,
             "mean_decay_rate_per_ns": rate,

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["CqedError", "GridError", "TruncationError", "DeconvolutionError",
+           "FitError", "PeakError", "ConfigError"]
+
 
 class CqedError(Exception):
     """Base class for all cqed-lab errors."""

@@ -21,13 +21,11 @@ import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
 
 from .errors import DeconvolutionError, GridError
-from .units import wavelength_to_energy
 
 __all__ = [
     "SampledSignal",
     "IrfKernel",
     "gaussian_irf",
-    "irf_fwhm_from_q",
     "convolve",
     "deconvolve",
     "irf_band_limit",
@@ -106,13 +104,6 @@ class IrfKernel(SampledSignal):
         if total <= 0:
             raise ValueError("measured IRF carries no weight")
         return cls(grid=raw.grid, values=raw.values / total, domain=domain)
-
-
-def irf_fwhm_from_q(wavelength_nm: float, q: float) -> float:
-    """Spectral FWHM (ueV) of a resolution specified as a Q factor."""
-    if wavelength_nm <= 0 or q <= 0:
-        raise ValueError("wavelength and Q must be positive")
-    return wavelength_to_energy(wavelength_nm) / q
 
 
 def gaussian_irf(fwhm: float, grid: np.ndarray,

@@ -293,7 +293,8 @@ def coupling_from_rate(target: float, params: SystemParams,
 
 
 def quality_factor(wavelength_nm: float, kappa_uev: float) -> float:
-    """Q factor of a resonance at the given wavelength with linewidth kappa."""
+    """Q = E/FWHM of a line of FWHM kappa at the given wavelength.  It is its
+    own inverse: it turns a resolving power Q into that FWHM, E/Q."""
     if wavelength_nm <= 0 or kappa_uev <= 0:
         raise ValueError("wavelength and kappa must be positive")
     return wavelength_to_energy(wavelength_nm) / kappa_uev

@@ -8,6 +8,8 @@ code divides ueV values by HBAR_UEV_NS.
 
 from __future__ import annotations
 
+__all__ = ["HBAR_UEV_NS", "HC_UEV_NM", "wavelength_to_energy"]
+
 HBAR_UEV_NS = 0.6582119569
 """hbar in ueV*ns (exact by convention in this package)."""
 

@@ -4,7 +4,8 @@ perfbench traces public functions of the package by name.  Deleting or
 renaming one of them breaks the benchmark's metrics without failing any
 other test here, so its self-test runs as one test.  Conversely, a public
 function that no module of the package uses and the benchmark does not
-trace is reached by tests alone: a second home for a formula.
+trace is reached by tests alone: a second home for a formula.  The
+package's namespace is its modules' ``__all__`` lists, declared once.
 """
 
 import glob
@@ -15,7 +16,8 @@ import re
 import subprocess
 import sys
 
-from cqed_lab import inference, instrument, model, spectra
+import cqed_lab
+from cqed_lab import errors, inference, instrument, model, spectra, units
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,3 +54,12 @@ def test_every_public_function_is_used_or_traced():
             if uses <= 2:  # its def and its __all__ entry
                 unused.append(f"{layer}.{name}")
     assert unused == []
+
+
+def test_package_exposes_its_modules_api():
+    # the package's public names are exactly its modules' __all__ entries
+    public = {name for name, value in vars(cqed_lab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    declared = {name for module in (errors, units, model, spectra, instrument,
+                                    inference) for name in module.__all__}
+    assert public == declared

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from cqed_lab import (cli, default_grid, propagate, read_signal,
+from cqed_lab import (HC_UEV_NM, cli, default_grid, propagate, read_signal,
                       read_spectrum, write_signal)
 from oracles import rk4_trajectory, simpson_integral
 
@@ -462,6 +463,21 @@ def test_fit_decay_fails_a_spectrum_file(tmp_path, caplog, mp_synth):
     assert f"{spectrum}: a spectral file, read as temporal" in caplog.text
 
 
+def test_fit_decay_logs_a_flagged_fit(tmp_path, caplog, mp_synth):
+    # the multiexponential cannot describe the cavity's filling rise, so the
+    # synthesized MP curve is flagged; the log says so, as the JSON does
+    caplog.set_level(logging.WARNING)
+    config, data = mp_synth
+    decay, out = data / "decay.txt", tmp_path / "fits"
+    assert cli.main(["fit-decay", "--config", str(config), "--out", str(out),
+                     str(decay)]) == 0
+    messages = json.loads((out / "decay_fit.json").read_text())["messages"]
+    assert "model-mismatch" in messages
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING]
+    assert warned == [f"{decay}: decay fit flagged: {', '.join(messages)}"]
+
+
 def test_fit_spectra_without_detunings_is_unclassified(tmp_path, mp_synth):
     # a file without the line and one whose value is blank both record NaN
     config, data = mp_synth
@@ -796,6 +812,24 @@ def test_valid_config_synthesizes(tmp_path):
                      str(tmp_path / "out"), "--quiet"]) == 0
 
 
+def test_config_is_the_schema_names_and_the_derived_values(tmp_path):
+    # ExperimentConfig declares no fields: a loaded config carries each
+    # _SCHEMA name that load_config does not fold into another value, and
+    # the derived ones; it pickles, as --jobs needs
+    path = tmp_path / "ok.ini"
+    path.write_text(VALID)
+    cfg = cli.load_config(str(path))
+    assert not vars(cli.ExperimentConfig).get("__annotations__")
+    assert set(vars(cfg)) == {
+        "path", "params", "deltas", "det", "wavelength_nm", "grid_span",
+        "grid_points", "convolve_irf", "spectral_irf", "spectral_irf_fwhm",
+        "temporal_irf", "temporal_irf_fwhm", "decay_delta", "decay_t_max",
+        "decay_dt", "decay_mode", "coupling_mode", "fit_convolve_irf",
+        "band_limit", "peak_counts", "noise", "out_dir", "seed"}
+    assert cfg.spectral_irf_fwhm == HC_UEV_NM / 930.0 / 40000.0
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
 def test_simulate_sweep_jobs_write_the_same_bytes(tmp_path):
     path = tmp_path / "ok.ini"
     path.write_text(VALID)
@@ -848,6 +882,9 @@ KIND_OF = {"kappa_ueV = fast": "a finite number",
      "spectrometer_q = 40000.0"),
     ("[instrument]\n", "[instrument]\ntemporal_irf_file = irf.txt\n",
      "temporal_irf_fwhm_ns = 0.05"),
+    ("spectrometer_q = 40000.0\n",
+     "spectrometer_q = 40000.0\nspectral_irf_fwhm_ueV = 100\n"
+     "temporal_irf_file = absent.txt\n", "spectral_irf_fwhm_ueV = 100"),
     ("deltas_ueV = -50, 0, 50", "delta_min_ueV = 0\ndelta_max_ueV = 100\n"
      "delta_step_ueV = 40", "delta_step_ueV = 40"),
     ("deltas_ueV = -50, 0, 50", "delta_step_ueV = 50", None),
@@ -863,6 +900,7 @@ KIND_OF = {"kappa_ueV = fast": "a finite number",
         "missing-system", "missing-irf-file", "q-without-wavelength",
         "range-without-step", "list-and-range", "q-and-irf-fwhm",
         "spectral-irf-file-and-q", "temporal-irf-file-and-fwhm",
+        "spectral-domain-first",
         "inexact-range", "lone-range-key", "equal-detunings",
         "shared-file-name", "fine-step"])
 def test_config_errors_name_file_and_line(tmp_path, caplog, old, new, marker):

@@ -11,8 +11,8 @@ from cqed_lab import (FitError, IrfKernel, LorentzianPairParams,
                       SampledSignal, SweepRecord, SystemParams,
                       classify_coupling, convolve, emission_spectrum,
                       extract_sweep_record, fit_decay, fit_jc_cavity_spectrum,
-                      fit_lorentzian_pair, gaussian_irf, irf_fwhm_from_q,
-                      propagate, rabi_splitting, seed_lorentzian_pair)
+                      fit_lorentzian_pair, gaussian_irf, propagate,
+                      quality_factor, rabi_splitting, seed_lorentzian_pair)
 from oracles import lorentzian
 
 PC_FIXED = {"kappa": 195.0, "gamma": 0.2, "gamma_dp": 4.0, "delta": 0.0}
@@ -189,7 +189,7 @@ class TestFitLorentzianPair:
 
 def measured_spectrum(params, x, rng, peak=1e4):
     """Cavity spectrum through a Q=40,000 spectrometer at 930 nm, in counts."""
-    irf_fwhm = irf_fwhm_from_q(930.0, 40000.0)
+    irf_fwhm = quality_factor(930.0, 40000.0)
     step = x[1] - x[0]
     half = int(math.ceil(4.0 * irf_fwhm / step))
     irf = gaussian_irf(irf_fwhm, np.arange(-half, half + 1) * step)

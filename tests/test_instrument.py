@@ -6,7 +6,7 @@ from scipy.optimize import least_squares
 
 from cqed_lab import (DeconvolutionError, GridError, IrfKernel, SampledSignal,
                       convolve, deconvolve, gaussian_irf, irf_band_limit,
-                      irf_fwhm_from_q, read_irf, read_signal, write_signal)
+                      quality_factor, read_irf, read_signal, write_signal)
 from oracles import lorentzian
 
 
@@ -68,8 +68,9 @@ class TestGaussianIrf:
             gaussian_irf(1.5, kernel_grid(10, 1.0))
 
     def test_spectrometer_resolution_from_q(self):
-        # Q = 43500 at 952 nm corresponds to a 29.9 ueV kernel
-        assert irf_fwhm_from_q(952.0, 43500.0) == pytest.approx(29.9, abs=0.05)
+        # Q = 43500 at 952 nm corresponds to a 29.9 ueV kernel: Q = E/FWHM
+        # is its own inverse
+        assert quality_factor(952.0, 43500.0) == pytest.approx(29.9, abs=0.05)
 
     def test_delta_like_kernel_is_identity(self):
         step = 0.5
